@@ -2,8 +2,12 @@
 // stats, config parsing, tables, channels and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -161,6 +165,24 @@ TEST(EmpiricalDistribution, QuantilesAndSampling) {
   lu::RunningStats s;
   for (int i = 0; i < 100000; ++i) s.add(dist.sample(rng));
   EXPECT_NEAR(s.mean(), dist.mean(), 5.0);
+}
+
+TEST(EmpiricalDistribution, MeanIsTheSortedAccumulateBitForBit) {
+  // Magnitudes spread over ten decades so the sum depends on its order: the
+  // cached mean must be the sorted-order std::accumulate, exactly.
+  lu::Rng rng(2015);
+  std::vector<double> samples;
+  for (int i = 0; i < 5000; ++i)
+    samples.push_back(std::pow(10.0, rng.uniform(-5.0, 5.0)));
+  const lu::EmpiricalDistribution dist(samples);
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const double expected = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
+                          static_cast<double>(sorted.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.mean()),
+            std::bit_cast<std::uint64_t>(expected));
+  EXPECT_EQ(lu::EmpiricalDistribution().mean(), 0.0);
+  EXPECT_EQ(lu::EmpiricalDistribution(std::vector<double>{}).mean(), 0.0);
 }
 
 // ------------------------------------------------------------ histogram ----
