@@ -53,11 +53,12 @@ int main() {
     }
     char regime[64];
     std::snprintf(regime, sizeof regime, "%.2f evictions/h", hazard);
+    char gain[64];
+    std::snprintf(gain, sizeof gain, "+%.1f pp",
+                  100.0 * (best_eff - stat.efficiency));
     table.row({regime, util::Table::num(stat.efficiency, 3),
                util::Table::num(best_hours, 2) + " h",
-               util::Table::num(best_eff, 3),
-               "+" + util::Table::num(100.0 * (best_eff - stat.efficiency), 1) +
-                   " pp"});
+               util::Table::num(best_eff, 3), gain});
   }
   std::fputs(table.str().c_str(), stdout);
 

@@ -148,7 +148,7 @@ merge_size = 40MB
         .execute =
             [&, merged = group.merged_path, outs](wq::TaskContext&) {
               auto session = chirp_server.connect(ticket);
-              for (const auto& rec : outs) {
+              for ([[maybe_unused]] const auto& rec : outs) {
                 // Inputs were written under /store/user/quickstart.
                 const auto listing =
                     session.list("/store/user/quickstart/task_");

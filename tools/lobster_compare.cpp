@@ -176,12 +176,13 @@ void print_diff(const core::TraceDiff& diff) {
               diff.b.goodput, diff.goodput_delta);
   std::puts("\nmovers (wall seconds per bucket, |delta| descending):");
   util::Table movers({"bucket", "before", "after", "delta", "share"});
-  for (const auto& m : diff.movers)
+  for (const auto& m : diff.movers) {
+    const std::string magnitude = util::format_duration(std::fabs(m.delta));
     movers.row({m.bucket, util::format_duration(m.before),
                 util::format_duration(m.after),
-                (m.delta < 0 ? "-" : "+") +
-                    util::format_duration(std::fabs(m.delta)),
+                (m.delta < 0 ? "-" : "+") + magnitude,
                 util::Table::num(100.0 * m.share, 1) + " %"});
+  }
   std::fputs(movers.str().c_str(), stdout);
 }
 
