@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                 opts.jobs);
     util::Table agg({"mode", "workload complete", "merge tail", "merge tasks"});
     for (const auto& a : campaign.aggregate) {
-      agg.row({core::to_string(a.mode),
+      agg.row({a.label,
                util::format_duration(a.merge_finish.mean()) + " +/- " +
                    util::format_duration(a.merge_finish.stddev()),
                util::format_duration(a.merge_finish.mean() -

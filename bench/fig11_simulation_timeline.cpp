@@ -40,12 +40,6 @@
 
 namespace {
 
-double goodput(const lobster::lobsim::RunStats& s) {
-  return s.makespan > 0.0
-             ? static_cast<double>(s.tasklets_processed) / (s.makespan / 3600.0)
-             : 0.0;
-}
-
 int run_advisor_gate(lobster::lobsim::SimulationRunScenario s,
                      const std::string& trace_prefix) {
   using namespace lobster;
@@ -107,8 +101,8 @@ int run_advisor_gate(lobster::lobsim::SimulationRunScenario s,
   util::Table table({"metric", "advisor-off", "advisor-on"});
   table.row({"makespan", util::format_duration(a.makespan),
              util::format_duration(b.makespan)});
-  table.row({"goodput (tasklets/h)", util::Table::num(goodput(a), 1),
-             util::Table::num(goodput(b), 1)});
+  table.row({"goodput (tasklets/h)", util::Table::num(a.goodput(), 1),
+             util::Table::num(b.goodput(), 1)});
   table.row({"tasks failed",
              util::Table::integer(static_cast<long long>(a.tasks_failed)),
              util::Table::integer(static_cast<long long>(b.tasks_failed))});
@@ -132,14 +126,14 @@ int run_advisor_gate(lobster::lobsim::SimulationRunScenario s,
     std::puts("\nGATE FAIL: a run hit the time cap.");
     return 1;
   }
-  if (!(goodput(b) > goodput(a))) {
+  if (!(b.goodput() > a.goodput())) {
     std::printf("\nGATE FAIL: advisor-on goodput %.1f <= advisor-off %.1f.\n",
-                goodput(b), goodput(a));
+                b.goodput(), a.goodput());
     return 1;
   }
   std::printf("\nGATE PASS: advisor-on goodput %.1f > advisor-off %.1f "
               "(makespan %s vs %s).\n",
-              goodput(b), goodput(a),
+              b.goodput(), a.goodput(),
               util::format_duration(b.makespan).c_str(),
               util::format_duration(a.makespan).c_str());
   return 0;

@@ -78,7 +78,7 @@ lobsim::WorkloadParams workload() {
   w.merge_mode = lobster::core::MergeMode::Interleaved;
   // Without tail adaptivity, eviction-retry chains of the last stragglers
   // erase the multi-site win; enable the SS8 feature for this experiment.
-  w.tail_shrink = true;
+  w.dispatch = lobsim::DispatchMode::TailShrink;
   return w;
 }
 
@@ -186,7 +186,6 @@ int run_stealing(std::uint64_t tasklets, double scale, std::uint64_t seed) {
   for (std::size_t i = 0; i < 2; ++i) {
     lobsim::WorkloadParams w = workload();
     w.num_tasklets = tasklets;
-    w.tail_shrink = false;
     w.dispatch = rows[i].mode;
     // Hour-long tasklets: a 6-tasklet task spans two burst periods on the
     // HPC partition, so almost none of its full-size tasks survive — the
@@ -196,10 +195,7 @@ int run_stealing(std::uint64_t tasklets, double scale, std::uint64_t seed) {
     lobsim::Engine engine(stealing_fleet(scale), w, seed);
     const auto& m = engine.run(30.0 * 86400.0);
     completed[i] = m.completed;
-    goodput[i] = m.makespan > 0.0
-                     ? static_cast<double>(m.tasklets_processed) /
-                           (m.makespan / 3600.0)
-                     : 0.0;
+    goodput[i] = m.goodput();
     if (rows[i].mode == lobsim::DispatchMode::Stealing)
       steal_tasks = m.steal_tasks;
     std::string split;

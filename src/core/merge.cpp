@@ -58,12 +58,4 @@ bool interleave_ready(const Db& db, const MergePolicy& policy) {
          policy.start_fraction;
 }
 
-std::vector<MergeGroup> next_interleaved_merges(const Db& db,
-                                                const MergePolicy& policy,
-                                                bool final_sweep) {
-  if (!final_sweep && !interleave_ready(db, policy)) return {};
-  return plan_merges(db.unmerged_outputs(), policy, /*only_full=*/!final_sweep,
-                     db.num_tasks());
-}
-
 }  // namespace lobster::core

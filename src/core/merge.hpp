@@ -61,10 +61,4 @@ std::vector<MergeGroup> plan_merges(const std::vector<OutputRecord>& outputs,
 /// are Processed or Merged.
 bool interleave_ready(const Db& db, const MergePolicy& policy);
 
-/// Convenience: plan the next interleaved merge groups against the DB
-/// (unmerged outputs, full groups only, unless `final_sweep`).
-std::vector<MergeGroup> next_interleaved_merges(const Db& db,
-                                                const MergePolicy& policy,
-                                                bool final_sweep);
-
 }  // namespace lobster::core

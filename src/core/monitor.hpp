@@ -44,6 +44,8 @@ struct RuntimeBreakdown {
   [[nodiscard]] double total() const {
     return cpu + io + failed + stage_in + stage_out + other;
   }
+  friend bool operator==(const RuntimeBreakdown&,
+                         const RuntimeBreakdown&) = default;
 };
 
 /// Which §5 troubleshooting rule fired.  The online advisor

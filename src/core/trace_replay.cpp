@@ -70,8 +70,4 @@ TraceReplay replay_trace(const std::vector<util::TraceEvent>& events) {
   return out;
 }
 
-TraceReplay replay_trace_file(const std::string& path) {
-  return replay_trace(util::read_trace_jsonl(path));
-}
-
 }  // namespace lobster::core

@@ -40,8 +40,4 @@ struct TraceReplay {
 [[nodiscard]] TraceReplay replay_trace(
     const std::vector<util::TraceEvent>& events);
 
-/// Convenience: read + parse + replay a JSONL trace file.  Throws
-/// std::runtime_error on unreadable or malformed input.
-[[nodiscard]] TraceReplay replay_trace_file(const std::string& path);
-
 }  // namespace lobster::core

@@ -87,11 +87,6 @@ double SquidProxy::resident_bytes() const {
   return resident_bytes_;
 }
 
-std::size_t SquidProxy::resident_objects() const {
-  std::lock_guard lock(mutex_);
-  return cache_.size();
-}
-
 SquidSim::SquidSim(des::Simulation& sim, const Params& params)
     : sim_(sim),
       params_(params),

@@ -50,7 +50,6 @@ class SquidProxy {
   [[nodiscard]] double bytes_served() const;    ///< total volume delivered to clients
   [[nodiscard]] double bytes_upstream() const;  ///< volume pulled from upstream (misses)
   [[nodiscard]] double resident_bytes() const;
-  [[nodiscard]] std::size_t resident_objects() const;
 
  private:
   void touch_locked(const std::string& path) LOBSTER_REQUIRES(mutex_);
@@ -121,7 +120,6 @@ class SquidSim {
 
   des::Resource& connections() { return connections_; }
   des::BandwidthLink& service_link() { return service_link_; }
-  des::BandwidthLink& upstream_link() { return upstream_link_; }
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint64_t requests() const { return requests_; }
 

@@ -56,7 +56,6 @@ class Resource {
   std::int64_t capacity() const { return capacity_; }
   std::int64_t available() const { return available_; }
   std::int64_t in_use() const { return capacity_ - available_; }
-  std::size_t queue_length() const { return waiters_.size(); }
 
   /// Grow/shrink capacity at runtime (used for elastic clusters).  Shrinking
   /// below in_use is allowed; available goes negative until releases catch

@@ -64,32 +64,8 @@ RunStats Campaign::execute(const RunSpec& spec,
     engine.schedule_outage(spec.outage_start, spec.outage_duration);
   const EngineMetrics& m = engine.run(spec.time_cap);
 
-  RunStats s;
-  s.makespan = m.makespan;
-  s.last_analysis_finish = m.last_analysis_finish;
-  s.last_merge_finish = m.last_merge_finish;
-  s.bytes_streamed = m.bytes_streamed;
-  s.bytes_staged = m.bytes_staged;
-  s.bytes_staged_out = m.bytes_staged_out;
-  s.tasks_completed = m.tasks_completed;
-  s.tasks_failed = m.tasks_failed;
-  s.tasks_evicted = m.tasks_evicted;
-  s.merge_tasks_completed = m.merge_tasks_completed;
-  s.tasklets_processed = m.tasklets_processed;
-  s.tasklets_retried = m.tasklets_retried;
-  s.steal_attempts = m.steal_attempts;
-  s.steal_tasks = m.steal_tasks;
-  s.steal_bytes_penalty = m.steal_bytes_penalty;
-  s.advisor_ticks = m.advisor_ticks;
-  s.advisor_shrinks = m.advisor_shrinks;
-  s.advisor_throttles = m.advisor_throttles;
-  s.advisor_drains = m.advisor_drains;
-  s.advisor_restores = m.advisor_restores;
-  s.peak_running = m.peak_running;
-  s.completed = m.completed;
-  s.breakdown = m.monitor.breakdown();
   if (metrics_out) *metrics_out = std::make_shared<EngineMetrics>(m);
-  return s;
+  return m;  // the RunStats slice
 }
 
 const std::vector<RunResult>& Campaign::run() {

@@ -210,7 +210,6 @@ class LifetimeAwareDispatch final : public DispatchPolicy {
   LifetimeAwareDispatch(std::uint32_t tasklets_per_task, double safety_factor,
                         std::uint32_t max_tasklets);
   const char* name() const override { return "lifetime"; }
-  double safety_factor() const { return safety_factor_; }
   std::uint32_t max_tasklets() const { return max_tasklets_; }
 
  protected:

@@ -58,11 +58,8 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
   per_site_tasklets_.assign(sites_->num_sites(), 0);
   site_running_.assign(sites_->num_sites(), 0);
 
-  // The legacy tail_shrink switch upgrades the default policy.
-  DispatchMode mode = workload_.dispatch;
-  if (workload_.tail_shrink && mode == DispatchMode::Fifo)
-    mode = DispatchMode::TailShrink;
-  dispatch_ = make_dispatch_policy(mode, workload_.tasklets_per_task,
+  dispatch_ = make_dispatch_policy(workload_.dispatch,
+                                   workload_.tasklets_per_task,
                                    workload_.lifetime_safety,
                                    workload_.lifetime_max_tasklets,
                                    workload_.steal_min_backlog);
@@ -192,6 +189,7 @@ const EngineMetrics& Engine::run(double time_cap) {
     metrics_->bytes_staged += sites_->federation(s).bytes_staged();
   }
   metrics_->bytes_staged_out = chirp_->bytes_in();
+  metrics_->breakdown = metrics_->monitor.breakdown();
   if (sim_.tracer().enabled()) {
     // Final name-ordered counter snapshot, then one atomic flush.  Spans
     // still open in truncated runs stay open in the file — that is the

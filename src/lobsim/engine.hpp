@@ -35,7 +35,6 @@
 #include "core/task_size_model.hpp"
 #include "cvmfs/parrot_cache.hpp"
 #include "cvmfs/squid.hpp"
-#include "des/queue.hpp"
 #include "des/simulation.hpp"
 #include "lobsim/advisor.hpp"
 #include "lobsim/dispatch_policy.hpp"
@@ -79,8 +78,7 @@ struct WorkloadParams {
   /// work (the wrapper's retry discipline; damps outage retry storms).
   double failure_backoff = 300.0;
   /// Task-construction policy (dispatch_policy.hpp).  Fifo mirrors the
-  /// production system the paper measured; tail_shrink below is a legacy
-  /// alias that upgrades Fifo to TailShrink.
+  /// production system the paper measured.
   DispatchMode dispatch = DispatchMode::Fifo;
   /// Lifetime dispatch only: fraction of the expected remaining worker
   /// lifetime a task may fill, and the per-task tasklet cap (0 = 4x
@@ -94,10 +92,6 @@ struct WorkloadParams {
   /// tasklets (0 = 2x tasklets_per_task).
   double steal_penalty_factor = 0.5;
   std::uint64_t steal_min_backlog = 0;
-  /// Shrink tasks to single tasklets once the pending pool is smaller than
-  /// the slot count (the §8 task-size adaptivity).  Kept for compatibility;
-  /// equivalent to dispatch = DispatchMode::TailShrink.
-  bool tail_shrink = false;
   std::uint32_t max_attempts = 50;
 
   core::MergeMode merge_mode = core::MergeMode::Interleaved;
@@ -113,20 +107,16 @@ struct WorkloadParams {
   double hadoop_reduce_setup = 240.0;
 };
 
-/// What happened — everything the figure benches print.
-struct EngineMetrics {
-  explicit EngineMetrics(double bin_seconds)
-      : monitor(bin_seconds),
-        analysis_done(0.0, bin_seconds),
-        merge_done(0.0, bin_seconds),
-        failures(0.0, bin_seconds) {}
-
-  core::Monitor monitor;
-  util::TimeSeries analysis_done;
-  util::TimeSeries merge_done;
-  util::TimeSeries failures;
-  /// (time, exit code) of every failed task — Figure 11 bottom panel.
-  std::vector<std::pair<double, int>> failure_events;
+/// Scalar outcome of one run.  Campaign results carry it and EngineMetrics
+/// extends it with the monitor and the timelines, so each scalar is
+/// declared once.
+struct RunStats {
+  double makespan = 0.0;
+  double last_analysis_finish = 0.0;
+  double last_merge_finish = 0.0;
+  double bytes_streamed = 0.0;
+  double bytes_staged = 0.0;
+  double bytes_staged_out = 0.0;
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_failed = 0;
   std::uint64_t tasks_evicted = 0;
@@ -149,18 +139,40 @@ struct EngineMetrics {
   std::uint64_t advisor_throttles = 0;
   std::uint64_t advisor_drains = 0;
   std::uint64_t advisor_restores = 0;
-  double last_analysis_finish = 0.0;
-  double last_merge_finish = 0.0;
-  double bytes_streamed = 0.0;
-  double bytes_staged = 0.0;
-  double bytes_staged_out = 0.0;
-  double makespan = 0.0;
   /// Peak of the running-tasks gauge.
   std::size_t peak_running = 0;
   /// True only when the workflow genuinely finished (analysis + merging);
   /// false means the run was truncated by the time cap (or stalled), so
   /// `makespan` is a lower bound, not a completion time.
   bool completed = false;
+  /// The monitor's wall-time breakdown at the end of the run.
+  core::RuntimeBreakdown breakdown;
+
+  /// Tasklets per hour of makespan; 0 when the makespan is 0.
+  [[nodiscard]] double goodput() const {
+    return makespan > 0.0
+               ? static_cast<double>(tasklets_processed) / (makespan / 3600.0)
+               : 0.0;
+  }
+
+  friend bool operator==(const RunStats&, const RunStats&) = default;
+};
+
+/// What happened — everything the figure benches print: the run scalars
+/// plus the monitor and the timelines behind the figure panels.
+struct EngineMetrics : RunStats {
+  explicit EngineMetrics(double bin_seconds)
+      : monitor(bin_seconds),
+        analysis_done(0.0, bin_seconds),
+        merge_done(0.0, bin_seconds),
+        failures(0.0, bin_seconds) {}
+
+  core::Monitor monitor;
+  util::TimeSeries analysis_done;
+  util::TimeSeries merge_done;
+  util::TimeSeries failures;
+  /// (time, exit code) of every failed task — Figure 11 bottom panel.
+  std::vector<std::pair<double, int>> failure_events;
 };
 
 class Engine {

@@ -151,10 +151,6 @@ DataAccessCampaign run_data_access_campaign(
   return out;
 }
 
-std::vector<DataAccessResult> run_data_access_comparison(std::uint64_t seed) {
-  return run_data_access_campaign({seed}, 1).detail;
-}
-
 namespace {
 des::Process proxy_client(des::Simulation& sim, cvmfs::SquidSim& squid,
                           double bytes, bool hot, util::RunningStats& stats) {
@@ -228,11 +224,6 @@ std::vector<ProxyScalingPoint> run_proxy_scaling(
   return out;
 }
 
-std::vector<ProxyScalingPoint> run_proxy_scaling(
-    const std::vector<std::size_t>& client_counts, std::uint64_t seed) {
-  return run_proxy_scaling(client_counts, std::vector<std::uint64_t>{seed}, 1);
-}
-
 namespace {
 RunSpec merge_mode_spec(core::MergeMode mode) {
   RunSpec spec;
@@ -268,16 +259,12 @@ MergeCampaign run_merge_campaign(const std::vector<std::uint64_t>& seeds,
   campaign.run();
 
   MergeCampaign out;
+  out.aggregate = campaign.aggregate();
   for (const auto mode : kModes) {
-    MergeCampaign::ModeAggregate agg;
-    agg.mode = mode;
     for (const auto& r : campaign.results()) {
-      if (r.label != core::to_string(mode) || !r.ok()) continue;
-      agg.analysis_finish.add(r.stats.last_analysis_finish);
-      agg.merge_finish.add(r.stats.last_merge_finish);
-      agg.merge_tasks.add(static_cast<double>(r.stats.merge_tasks_completed));
-      agg.makespan.add(r.stats.makespan);
-      if (r.seed != seeds.front() || !r.metrics) continue;
+      if (r.label != core::to_string(mode) || r.seed != seeds.front() ||
+          !r.metrics)
+        continue;
       const EngineMetrics& m = *r.metrics;
       MergeModeResult detail;
       detail.mode = mode;
@@ -293,13 +280,8 @@ MergeCampaign run_merge_campaign(const std::vector<std::uint64_t>& seeds,
       }
       out.detail.push_back(std::move(detail));
     }
-    out.aggregate.push_back(std::move(agg));
   }
   return out;
-}
-
-std::vector<MergeModeResult> run_merge_comparison(std::uint64_t seed) {
-  return run_merge_campaign({seed}, 1).detail;
 }
 
 namespace {

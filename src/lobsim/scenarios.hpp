@@ -42,7 +42,6 @@ struct DataAccessResult {
   double overhead_time = 0.0;    ///< setup + stage-in + stage-out (mean)
   double makespan = 0.0;
 };
-std::vector<DataAccessResult> run_data_access_comparison(std::uint64_t seed);
 
 /// Figure 4 as a campaign: each access mode swept over `seeds`, executed
 /// `jobs`-wide.  `detail` is the per-mode view of seeds[0] (what the
@@ -68,8 +67,6 @@ struct ProxyScalingPoint {
   double cold_sd = 0.0;        ///< across-seed spread (0 for one seed)
   double hot_sd = 0.0;
 };
-std::vector<ProxyScalingPoint> run_proxy_scaling(
-    const std::vector<std::size_t>& client_counts, std::uint64_t seed);
 
 /// Figure 5 as a campaign: every (client count) point runs as its own DES
 /// instance across `jobs` threads, and each point averages over `seeds`.
@@ -88,21 +85,14 @@ struct MergeModeResult {
   std::vector<double> merge_per_bin;
   double bin_seconds = 0.0;
 };
-std::vector<MergeModeResult> run_merge_comparison(std::uint64_t seed);
 
 /// Figure 7 as a campaign: each merge mode swept over `seeds`, executed
 /// `jobs`-wide.  `detail` holds the per-mode timelines of seeds[0];
-/// `aggregate` folds completion times across every seed.
+/// `aggregate` folds every seed, one entry per mode labelled
+/// core::to_string(mode).
 struct MergeCampaign {
   std::vector<MergeModeResult> detail;
-  struct ModeAggregate {
-    core::MergeMode mode = core::MergeMode::Sequential;
-    util::RunningStats analysis_finish;
-    util::RunningStats merge_finish;
-    util::RunningStats merge_tasks;
-    util::RunningStats makespan;
-  };
-  std::vector<ModeAggregate> aggregate;
+  std::vector<CampaignAggregate> aggregate;
 };
 MergeCampaign run_merge_campaign(const std::vector<std::uint64_t>& seeds,
                                  std::size_t jobs);

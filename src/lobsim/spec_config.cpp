@@ -8,16 +8,31 @@
 
 namespace lobster::lobsim {
 
+namespace {
+/// An INI integer bound for an unsigned field.  A negative value would wrap
+/// to ~1.8e19 (cores = -8 asked for 1.8e19 cores), so it is rejected here.
+template <typename T>
+T get_count(const util::Config& cfg, const std::string& section,
+            const std::string& key, T fallback) {
+  const std::int64_t v =
+      cfg.get_int(section, key, static_cast<std::int64_t>(fallback));
+  if (v < 0)
+    throw std::invalid_argument("[" + section + "] " + key +
+                                " must be >= 0 (got " + std::to_string(v) +
+                                ")");
+  return static_cast<T>(v);
+}
+}  // namespace
+
 RunSpec spec_from_config(const util::Config& cfg) {
   RunSpec spec;
   spec.seed =
       static_cast<std::uint64_t>(cfg.get_int("workflow", "seed", 2015));
 
   auto& cluster = spec.cluster;
-  cluster.target_cores =
-      static_cast<std::size_t>(cfg.get_int("cluster", "cores", 5000));
-  cluster.cores_per_worker = static_cast<std::size_t>(
-      cfg.get_int("cluster", "cores_per_worker", 8));
+  cluster.target_cores = get_count<std::size_t>(cfg, "cluster", "cores", 5000);
+  cluster.cores_per_worker =
+      get_count<std::size_t>(cfg, "cluster", "cores_per_worker", 8);
   cluster.ramp_seconds = cfg.get_duration("cluster", "ramp", 3600.0);
   // Availability model: `availability = kind[:key=value,...]`, with the
   // legacy `availability_hours` shorthand still honoured (it sets the scale
@@ -31,16 +46,15 @@ RunSpec spec_from_config(const util::Config& cfg) {
   cluster.evictions = cfg.get_bool("cluster", "evictions", true);
   cluster.federation.campus_uplink_rate =
       util::gbit_per_s(cfg.get_double("cluster", "uplink", 10.0));
-  cluster.num_squids =
-      static_cast<std::size_t>(cfg.get_int("cluster", "squids", 1));
+  cluster.num_squids = get_count<std::size_t>(cfg, "cluster", "squids", 1);
   cluster.chirp.max_connections =
       cfg.get_int("cluster", "chirp_connections", 24);
 
   auto& workload = spec.workload;
   workload.num_tasklets =
-      static_cast<std::uint64_t>(cfg.get_int("workflow", "tasklets", 30000));
-  workload.tasklets_per_task = static_cast<std::uint32_t>(
-      cfg.get_int("workflow", "tasklets_per_task", 6));
+      get_count<std::uint64_t>(cfg, "workflow", "tasklets", 30000);
+  workload.tasklets_per_task =
+      get_count<std::uint32_t>(cfg, "workflow", "tasklets_per_task", 6);
   workload.tasklet_cpu_mean =
       cfg.get_duration("workflow", "tasklet_cpu", 600.0);
   workload.tasklet_cpu_sigma = workload.tasklet_cpu_mean / 2.0;
@@ -80,13 +94,12 @@ RunSpec spec_from_config(const util::Config& cfg) {
 
   workload.lifetime_safety =
       cfg.get_double("workflow", "lifetime_safety", workload.lifetime_safety);
-  workload.lifetime_max_tasklets = static_cast<std::uint32_t>(cfg.get_int(
-      "workflow", "lifetime_max_tasklets", workload.lifetime_max_tasklets));
+  workload.lifetime_max_tasklets = get_count(
+      cfg, "workflow", "lifetime_max_tasklets", workload.lifetime_max_tasklets);
   workload.steal_penalty_factor = cfg.get_double(
       "workflow", "steal_penalty_factor", workload.steal_penalty_factor);
-  workload.steal_min_backlog = static_cast<std::uint64_t>(cfg.get_int(
-      "workflow", "steal_min_backlog",
-      static_cast<long long>(workload.steal_min_backlog)));
+  workload.steal_min_backlog = get_count(
+      cfg, "workflow", "steal_min_backlog", workload.steal_min_backlog);
 
   spec.outage_start = cfg.get_duration("failures", "outage_start", 0.0);
   spec.outage_duration = cfg.get_duration("failures", "outage_duration", 0.0);
@@ -111,8 +124,8 @@ RunSpec spec_from_config(const util::Config& cfg) {
       "advisor", "failed_fraction", adv.thresholds.failed_fraction);
   adv.shrink_factor =
       cfg.get_double("advisor", "shrink_factor", adv.shrink_factor);
-  adv.min_task_size = static_cast<std::uint32_t>(cfg.get_int(
-      "advisor", "min_task_size", adv.min_task_size));
+  adv.min_task_size =
+      get_count(cfg, "advisor", "min_task_size", adv.min_task_size);
   adv.proxy_waste_fraction = cfg.get_double(
       "advisor", "proxy_waste_fraction", adv.proxy_waste_fraction);
   adv.throttle_share =

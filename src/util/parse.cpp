@@ -49,11 +49,4 @@ long long require_int(const std::string& text, const std::string& what) {
   return *v;
 }
 
-double require_double(const std::string& text, const std::string& what) {
-  const auto v = parse_double_strict(text);
-  if (!v)
-    throw std::invalid_argument(what + ": non-numeric value '" + text + "'");
-  return *v;
-}
-
 }  // namespace lobster::util

@@ -23,11 +23,9 @@ namespace lobster::util {
 [[nodiscard]] std::optional<double> parse_double_strict(
     const std::string& text);
 
-/// Throwing wrappers: std::invalid_argument naming `what` (a flag or
+/// Throwing wrapper: std::invalid_argument naming `what` (a flag or
 /// config key) when the token does not parse strictly.
 [[nodiscard]] long long require_int(const std::string& text,
-                                    const std::string& what);
-[[nodiscard]] double require_double(const std::string& text,
                                     const std::string& what);
 
 }  // namespace lobster::util

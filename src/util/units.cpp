@@ -45,6 +45,4 @@ std::string format_bytes(double b) {
   return buf;
 }
 
-std::string format_rate(double bps) { return format_bytes(bps) + "/s"; }
-
 }  // namespace lobster::util

@@ -40,11 +40,7 @@ std::string format_bytes(double bytes);
 
 // ---- bandwidth (bytes / second) -------------------------------------------
 
-constexpr double mbit_per_s(double m) { return m * 1e6 / 8.0; }
 constexpr double gbit_per_s(double g) { return g * 1e9 / 8.0; }
 constexpr double mb_per_s(double m) { return m * 1e6; }
-
-/// Render a rate in bytes/s as e.g. "1.25 GB/s".
-std::string format_rate(double bytes_per_second);
 
 }  // namespace lobster::util

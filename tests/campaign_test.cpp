@@ -1,14 +1,17 @@
 // Tests for the lobsim::Campaign parallel run harness: per-run determinism,
 // parallel == serial aggregation, seed sweep bookkeeping, error isolation,
-// and the shared --seeds/--jobs flag parser.
+// the shared --seeds/--jobs flag parser and the INI scenario parser.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lobsim/campaign.hpp"
 #include "lobsim/scenarios.hpp"
+#include "lobsim/spec_config.hpp"
+#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace lobster::lobsim {
@@ -32,38 +35,13 @@ RunSpec small_spec(std::uint64_t seed = 2015) {
   return spec;
 }
 
-// All scalar fields, compared exactly: determinism means bitwise equality,
-// not tolerance.
-void expect_stats_identical(const RunStats& a, const RunStats& b) {
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.last_analysis_finish, b.last_analysis_finish);
-  EXPECT_EQ(a.last_merge_finish, b.last_merge_finish);
-  EXPECT_EQ(a.bytes_streamed, b.bytes_streamed);
-  EXPECT_EQ(a.bytes_staged, b.bytes_staged);
-  EXPECT_EQ(a.bytes_staged_out, b.bytes_staged_out);
-  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-  EXPECT_EQ(a.tasks_failed, b.tasks_failed);
-  EXPECT_EQ(a.tasks_evicted, b.tasks_evicted);
-  EXPECT_EQ(a.merge_tasks_completed, b.merge_tasks_completed);
-  EXPECT_EQ(a.tasklets_processed, b.tasklets_processed);
-  EXPECT_EQ(a.tasklets_retried, b.tasklets_retried);
-  EXPECT_EQ(a.steal_attempts, b.steal_attempts);
-  EXPECT_EQ(a.steal_tasks, b.steal_tasks);
-  EXPECT_EQ(a.steal_bytes_penalty, b.steal_bytes_penalty);
-  EXPECT_EQ(a.peak_running, b.peak_running);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.breakdown.cpu, b.breakdown.cpu);
-  EXPECT_EQ(a.breakdown.io, b.breakdown.io);
-  EXPECT_EQ(a.breakdown.failed, b.breakdown.failed);
-  EXPECT_EQ(a.breakdown.stage_in, b.breakdown.stage_in);
-  EXPECT_EQ(a.breakdown.stage_out, b.breakdown.stage_out);
-}
-
 TEST(CampaignTest, SameSeedTwiceIsBitwiseIdentical) {
   std::shared_ptr<const EngineMetrics> m1, m2;
   const RunStats a = Campaign::execute(small_spec(), &m1);
   const RunStats b = Campaign::execute(small_spec(), &m2);
-  expect_stats_identical(a, b);
+  // Every scalar, compared exactly: determinism means bitwise equality,
+  // not tolerance.
+  EXPECT_EQ(a, b);
   ASSERT_TRUE(m1 && m2);
   // Full timeline equality, bin by bin.
   ASSERT_EQ(m1->analysis_done.nbins(), m2->analysis_done.nbins());
@@ -100,7 +78,7 @@ TEST(CampaignTest, ParallelAggregatesIdenticalToSerial) {
     EXPECT_EQ(rs.label, rp.label);
     ASSERT_TRUE(rs.ok());
     ASSERT_TRUE(rp.ok());
-    expect_stats_identical(rs.stats, rp.stats);
+    EXPECT_EQ(rs.stats, rp.stats);
   }
 
   const auto as = serial.aggregate();
@@ -158,7 +136,7 @@ TEST(CampaignTest, AvailabilityModelsDeterministicAcrossJobs) {
     SCOPED_TRACE(rs.label + "/" + std::to_string(rs.seed));
     ASSERT_TRUE(rs.ok()) << rs.error;
     ASSERT_TRUE(rp.ok()) << rp.error;
-    expect_stats_identical(rs.stats, rp.stats);
+    EXPECT_EQ(rs.stats, rp.stats);
   }
   // The climates genuinely differ from one another under the same seed.
   const auto& weibull = serial.results()[0].stats;
@@ -197,7 +175,7 @@ TEST(CampaignTest, LifetimeDispatchDeterministicAcrossJobs) {
     ASSERT_TRUE(rs.ok()) << rs.error;
     ASSERT_TRUE(rp.ok()) << rp.error;
     EXPECT_TRUE(rs.stats.completed);
-    expect_stats_identical(rs.stats, rp.stats);
+    EXPECT_EQ(rs.stats, rp.stats);
   }
   // The policy genuinely differs from fifo under the same seed/climate.
   RunSpec fifo = small_spec();
@@ -250,7 +228,7 @@ TEST(CampaignTest, StealingDispatchDeterministicAcrossJobs) {
     ASSERT_TRUE(rs.ok()) << rs.error;
     ASSERT_TRUE(rp.ok()) << rp.error;
     EXPECT_TRUE(rs.stats.completed);
-    expect_stats_identical(rs.stats, rp.stats);
+    EXPECT_EQ(rs.stats, rp.stats);
     stole = stole || rs.stats.steal_tasks > 0;
   }
   // The sweep genuinely exercised the steal path, not just the partitions.
@@ -292,7 +270,7 @@ TEST(CampaignTest, StreamingSpecSerialVsParallelBitwise) {
     ASSERT_TRUE(rs.ok()) << rs.error;
     ASSERT_TRUE(rp.ok()) << rp.error;
     EXPECT_GT(rs.stats.bytes_streamed, 0.0);  // the regime actually streams
-    expect_stats_identical(rs.stats, rp.stats);
+    EXPECT_EQ(rs.stats, rp.stats);
   }
 }
 
@@ -544,6 +522,92 @@ TEST(CampaignFlagsTest, PassthroughFlagsSkipTheirValue) {
                                     {"--availability"}),
                std::invalid_argument);
 }
+
+// ---- spec_from_config -------------------------------------------------------
+
+TEST(SpecConfigTest, AcceptsAScenario) {
+  const auto cfg = util::Config::parse(
+      "[cluster]\n"
+      "cores = 256\n"
+      "cores_per_worker = 4\n"
+      "squids = 2\n"
+      "[workflow]\n"
+      "seed = 7\n"
+      "tasklets = 2000\n"
+      "tasklets_per_task = 3\n"
+      "lifetime_max_tasklets = 12\n"
+      "steal_min_backlog = 0\n"
+      "merge = sequential\n"
+      "[advisor]\n"
+      "enabled = true\n"
+      "min_task_size = 2\n");
+  const RunSpec spec = spec_from_config(cfg);
+  EXPECT_EQ(spec.seed, 7u);
+  EXPECT_EQ(spec.cluster.target_cores, 256u);
+  EXPECT_EQ(spec.cluster.cores_per_worker, 4u);
+  EXPECT_EQ(spec.cluster.num_squids, 2u);
+  EXPECT_EQ(spec.workload.num_tasklets, 2000u);
+  EXPECT_EQ(spec.workload.tasklets_per_task, 3u);
+  EXPECT_EQ(spec.workload.lifetime_max_tasklets, 12u);
+  EXPECT_EQ(spec.workload.steal_min_backlog, 0u);
+  EXPECT_EQ(spec.workload.merge_mode, core::MergeMode::Sequential);
+  EXPECT_EQ(spec.workload.dispatch, DispatchMode::Fifo);
+  EXPECT_TRUE(spec.advisor.enabled);
+  EXPECT_EQ(spec.advisor.min_task_size, 2u);
+}
+
+TEST(SpecConfigTest, EveryDispatchNameMapsToItsMode) {
+  const std::pair<const char*, DispatchMode> names[] = {
+      {"fifo", DispatchMode::Fifo},
+      {"tail-shrink", DispatchMode::TailShrink},
+      {"site-aware", DispatchMode::SiteAware},
+      {"lifetime", DispatchMode::Lifetime},
+      {"partitioned", DispatchMode::Partitioned},
+      {"stealing", DispatchMode::Stealing},
+  };
+  for (const auto& [name, mode] : names) {
+    util::Config cfg;
+    cfg.set("workflow", "dispatch", name);
+    EXPECT_EQ(spec_from_config(cfg).workload.dispatch, mode) << name;
+  }
+  util::Config typo;
+  typo.set("workflow", "dispatch", "tailshrink");
+  EXPECT_THROW(spec_from_config(typo), std::invalid_argument);
+}
+
+// Each INI integer that lands in an unsigned field: a negative value must
+// be rejected by name instead of wrapping to ~1.8e19.  Strings, not char
+// pointers, so the parameter prints the same in every test listing.
+using SectionKey = std::pair<std::string, std::string>;
+class SpecConfigNegativeCount : public ::testing::TestWithParam<SectionKey> {};
+
+TEST_P(SpecConfigNegativeCount, IsRejectedBySectionAndKey) {
+  const auto& [section, key] = GetParam();
+  util::Config cfg;
+  cfg.set(section, key, "-1");
+  try {
+    (void)spec_from_config(cfg);
+    ADD_FAILURE() << "[" << section << "] " << key << " = -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string where = "[" + section + "] " + key + " ";
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UnsignedKeys, SpecConfigNegativeCount,
+    ::testing::Values(SectionKey{"cluster", "cores"},
+                      SectionKey{"cluster", "cores_per_worker"},
+                      SectionKey{"cluster", "squids"},
+                      SectionKey{"workflow", "tasklets"},
+                      SectionKey{"workflow", "tasklets_per_task"},
+                      SectionKey{"workflow", "lifetime_max_tasklets"},
+                      SectionKey{"workflow", "steal_min_backlog"},
+                      SectionKey{"advisor", "min_task_size"}),
+    [](const auto& info) {
+      return info.param.first + "_" + info.param.second;
+    });
 
 }  // namespace
 }  // namespace lobster::lobsim

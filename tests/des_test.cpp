@@ -1,5 +1,5 @@
 // Unit and property tests for the discrete-event simulation kernel:
-// ordering, coroutine processes, events, resources, queues and the
+// ordering, coroutine processes, events, resources and the
 // fair-share bandwidth link.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "des/bandwidth.hpp"
-#include "des/queue.hpp"
 #include "des/resource.hpp"
 #include "des/simulation.hpp"
 #include "util/rng.hpp"
@@ -271,60 +270,6 @@ TEST(Resource, TokenMoveTransfersOwnership) {
   EXPECT_EQ(res.available(), 1);
 }
 
-// ----------------------------------------------------------------- queue ----
-
-namespace {
-des::Process producer(des::Simulation& sim, des::SimQueue<int>& q, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await sim.delay(1.0);
-    q.put(i);
-  }
-  q.close();
-}
-
-des::Process consumer(des::SimQueue<int>& q, std::vector<int>& out) {
-  while (auto item = co_await q.get()) out.push_back(*item);
-}
-}  // namespace
-
-TEST(SimQueue, ProducerConsumerDeliversAllInOrder) {
-  des::Simulation sim;
-  des::SimQueue<int> q(sim);
-  std::vector<int> out;
-  sim.spawn(consumer(q, out));
-  sim.spawn(producer(sim, q, 50));
-  sim.run();
-  ASSERT_EQ(out.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-}
-
-TEST(SimQueue, MultipleConsumersShareWork) {
-  des::Simulation sim;
-  des::SimQueue<int> q(sim);
-  std::vector<int> a, b;
-  sim.spawn(consumer(q, a));
-  sim.spawn(consumer(q, b));
-  sim.spawn(producer(sim, q, 100));
-  sim.run();
-  EXPECT_EQ(a.size() + b.size(), 100u);
-  EXPECT_FALSE(a.empty());
-  EXPECT_FALSE(b.empty());
-}
-
-TEST(SimQueue, CloseReleasesBlockedGetters) {
-  des::Simulation sim;
-  des::SimQueue<int> q(sim);
-  bool finished = false;
-  auto getter = [](des::SimQueue<int>& queue, bool& f) -> des::Process {
-    auto v = co_await queue.get();
-    f = !v.has_value();
-  };
-  sim.spawn(getter(q, finished));
-  sim.schedule(5.0, [&] { q.close(); });
-  sim.run();
-  EXPECT_TRUE(finished);
-}
-
 // ------------------------------------------------------------- bandwidth ----
 
 namespace {
@@ -512,24 +457,4 @@ TEST(Simulation, ZeroDelayFromInsideBatchAppendsInOrder) {
   ASSERT_EQ(order.size(), 6u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-// ----------------------------------------------- queue close accounting ----
-
-TEST(SimQueue, PutAfterCloseIsCountedNotSilent) {
-  des::Simulation sim;
-  des::SimQueue<int> q(sim);
-  q.put(1);
-  q.close();
-#ifdef NDEBUG
-  // Release: the item is dropped but the loss lands on the metrics plane.
-  q.put(2);
-  q.put(3);
-  EXPECT_EQ(
-      sim.counters().counter("des.queue.dropped_after_close").value(), 2u);
-  EXPECT_EQ(q.size(), 1u);  // only the pre-close item remains buffered
-#else
-  // Debug: a producer bug fails fast.
-  EXPECT_DEATH(q.put(2), "put after close");
-#endif
 }

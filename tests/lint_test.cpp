@@ -281,7 +281,7 @@ TEST(LintHotpath, AuditedSuppressionSilencesAndCustomRootsApply) {
   // ...and the des/ tree is out of scope under those roots.
   lint::Corpus des;
   des.files.push_back(lint::make_source(
-      "src/des/queue.hpp",
+      "src/des/resource.hpp",
       "#pragma once\nstruct Q {\n  std::map<int, int> q_;\n};\n"));
   EXPECT_TRUE(lint::run(des, opts).empty());
 }

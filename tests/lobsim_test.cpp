@@ -253,7 +253,7 @@ TEST(Engine, MultiSiteBeatsSingleSiteMakespan) {
   auto wl = small_workload();
   wl.num_tasklets = 900;
   wl.merge_mode = core::MergeMode::Sequential;
-  wl.tail_shrink = true;  // the SS8 adaptivity; see fig14
+  wl.dispatch = lobsim::DispatchMode::TailShrink;  // SS8; see fig14
 
   auto alone = small_cluster();
   alone.target_cores = 64;

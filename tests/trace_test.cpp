@@ -340,12 +340,7 @@ TEST(EngineTrace, TracingDoesNotPerturbTheSimulation) {
   traced.trace_path = temp_path("perturb_check.jsonl");
   const lobsim::RunStats a = lobsim::Campaign::execute(plain);
   const lobsim::RunStats b = lobsim::Campaign::execute(traced);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-  EXPECT_EQ(a.tasks_evicted, b.tasks_evicted);
-  EXPECT_EQ(a.tasklets_retried, b.tasklets_retried);
-  EXPECT_EQ(a.breakdown.cpu, b.breakdown.cpu);
-  EXPECT_EQ(a.breakdown.io, b.breakdown.io);
+  EXPECT_EQ(a, b);
   std::remove(traced.trace_path.c_str());
 }
 

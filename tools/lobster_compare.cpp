@@ -116,9 +116,7 @@ LoadedRun stats_only_run(const std::string& label,
   run.attr.failures = stats.tasks_failed + stats.tasks_evicted;
   run.attr.tasklets_processed = stats.tasklets_processed;
   run.attr.makespan = stats.makespan;
-  if (run.attr.makespan > 0.0)
-    run.attr.goodput = static_cast<double>(run.attr.tasklets_processed) /
-                       (run.attr.makespan / 3600.0);
+  run.attr.goodput = stats.goodput();
   return run;
 }
 
