@@ -1,6 +1,5 @@
 #include "des/bandwidth.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,6 +15,15 @@ double completion_eps(double total) {
   // floating-point residue.
   return std::max(kEpsilonBytes, 1e-12 * total);
 }
+
+// Done once the remaining bytes reach the completion epsilon, forgiving a
+// few ulps of the key: a busy class's counter can outgrow the epsilon's
+// resolution, and an increment below one ulp would not move it at all.
+bool finished(double key, double total, double served) {
+  return key - served <=
+         completion_eps(total) +
+             4.0 * std::numeric_limits<double>::epsilon() * std::abs(key);
+}
 }  // namespace
 
 BandwidthLink::BandwidthLink(Simulation& sim, double capacity_bytes_per_s)
@@ -28,204 +36,150 @@ void BandwidthLink::set_capacity(double bytes_per_s) {
   if (bytes_per_s < 0.0)
     throw std::invalid_argument("BandwidthLink: negative capacity");
   // Eager: allocated_rate() <= capacity() must hold the moment this
-  // returns, even mid-timestamp, so the change cannot ride a batch.
-  refresh_pending_ = advance(/*zero_width_sweep=*/true) || refresh_pending_;
+  // returns, even mid-timestamp, so the change cannot ride a batch.  The
+  // flush integrates at the rates solved for the old capacity.
   capacity_ = bytes_per_s;
-  resolve();
+  flush();
 }
 
 double BandwidthLink::bytes_moved() const {
-  double partial = 0.0;
-  for (const Flow& f : flows_) partial += f.total - f.remaining;
-  // NB: callers that need an exact instantaneous figure should be aware the
-  // in-flight component is integrated up to last_update_ only.
-  return completed_bytes_ + partial;
-}
-
-const BandwidthLink::Flow* BandwidthLink::find_flow(std::uint64_t id) const {
-  const auto it = std::lower_bound(
-      flows_.begin(), flows_.end(), id,
-      [](const Flow& f, std::uint64_t v) { return f.id < v; });
-  return it != flows_.end() && it->id == id ? &*it : nullptr;
+  const double dt = sim_.now() - last_update_;
+  double moved = completed_bytes_;
+  for (const Class& c : classes_) {
+    const double served =
+        dt > 0.0 ? c.served + std::min(c.cap, fair_rate_) * dt : c.served;
+    for (const Flow& f : heaps_[c.heap])
+      moved += f.total - std::max(0.0, f.key - served);
+  }
+  return moved;
 }
 
 std::shared_ptr<Event> BandwidthLink::start_flow(double bytes,
                                                  double rate_cap) {
-  if (rate_cap <= 0.0)
+  if (!(rate_cap > 0.0))
     throw std::invalid_argument("BandwidthLink: rate cap must be positive");
+  if (std::isnan(bytes))
+    throw std::invalid_argument("BandwidthLink: transfer size is NaN");
   auto done = std::make_shared<Event>(sim_);
-  // Integrate up to now at the pre-join rates (completions sweep first, in
-  // id order, exactly as before); the solve itself is deferred to the
-  // batch flush so a same-timestamp dispatch burst pays for one.
-  refresh_pending_ = advance(/*zero_width_sweep=*/true) || refresh_pending_;
-  Flow f;
-  f.id = next_id_++;
-  f.total = bytes;
-  f.remaining = bytes;
-  f.cap = rate_cap;
-  f.done = done;
-  // A joiner already below its completion epsilon finishes at the next
-  // sweeping event (possibly this timestamp, via a later join or capacity
-  // change; otherwise its own tiny completion timer) — the historical
-  // contract, reproduced exactly by the oracle.
-  if (bytes <= completion_eps(bytes)) sweep_pending_ = true;
-  by_cap_.insert(
-      std::upper_bound(by_cap_.begin(), by_cap_.end(), CapEntry{rate_cap, f.id}),
-      CapEntry{rate_cap, f.id});
-  pending_joins_.push_back(f.id);
-  flows_.push_back(std::move(f));  // ids are monotone: order stays sorted
+  // Integrate up to now at the pre-join rates (completions trigger first);
+  // the solve itself is deferred to the batch flush so a same-timestamp
+  // dispatch burst pays for one.
+  if (sim_.now() > last_update_) advance();
+  auto c = std::lower_bound(
+      classes_.begin(), classes_.end(), rate_cap,
+      [](const Class& k, double cap) { return k.cap < cap; });
+  if (c == classes_.end() || c->cap != rate_cap) {
+    std::uint32_t slot = 0;
+    if (free_heaps_.empty()) {
+      slot = static_cast<std::uint32_t>(heaps_.size());
+      heaps_.emplace_back();
+    } else {
+      slot = free_heaps_.back();
+      free_heaps_.pop_back();
+    }
+    c = classes_.insert(c, Class{rate_cap, 0.0, slot});
+  }
+  std::vector<Flow>& heap = heaps_[c->heap];
+  heap.push_back(Flow{c->served + bytes, next_id_++, bytes, done});
+  std::push_heap(heap.begin(), heap.end());
+  ++active_;
   request_batch();
   return done;
 }
 
-bool BandwidthLink::advance(bool zero_width_sweep) {
-  const double now = sim_.now();
-  const double dt = now - last_update_;
-  last_update_ = now;
-  // Progress only changes through dt > 0 integration, so the completion
-  // sweep is skipped entirely for zero-width updates — unless a
-  // sub-epsilon joiner is waiting and this event is allowed to sweep it.
-  if (dt <= 0.0 && !(sweep_pending_ && zero_width_sweep)) return false;
-  sweep_pending_ = false;
-  // Stable compaction in flow-id order: completions trigger in id order,
-  // so event sequence numbers (and therefore every downstream golden) are
-  // unchanged.
-  removed_scratch_.clear();
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    if (dt > 0.0) {
-      const double rate = std::min(f.cap, fair_rate_);
-      f.remaining = std::max(0.0, f.remaining - rate * dt);
-    }
-    if (f.remaining <= completion_eps(f.total)) {
-      completed_bytes_ += f.total;
-      removed_scratch_.push_back(f.id);
-      f.done->trigger();
-    } else {
-      if (out != i) flows_[out] = std::move(f);
-      ++out;
+void BandwidthLink::advance() {
+  const double dt = sim_.now() - last_update_;
+  last_update_ = sim_.now();
+  for (Class& c : classes_) {
+    ++stats_.classes_walked;
+    if (dt > 0.0) c.served += std::min(c.cap, fair_rate_) * dt;
+    std::vector<Flow>& heap = heaps_[c.heap];
+    while (!heap.empty() &&
+           finished(heap.front().key, heap.front().total, c.served)) {
+      std::pop_heap(heap.begin(), heap.end());
+      finished_.push_back(std::move(heap.back()));
+      heap.pop_back();
     }
   }
-  flows_.resize(out);
-  if (!removed_scratch_.empty()) {
-    // removed_scratch_ is id-sorted (the sweep walks id order), so the cap
-    // index compacts with one pass + binary membership tests.
-    std::erase_if(by_cap_, [this](const CapEntry& e) {
-      return std::binary_search(removed_scratch_.begin(),
-                                removed_scratch_.end(), e.id);
-    });
+  if (finished_.empty()) return;
+  std::erase_if(classes_, [this](const Class& c) {
+    if (!heaps_[c.heap].empty()) return false;
+    free_heaps_.push_back(c.heap);
+    return true;
+  });
+  active_ -= finished_.size();
+  stats_.flows_popped += finished_.size();
+  // Same-instant completions trigger in ascending flow id, whatever their
+  // class, so event sequence numbers stay deterministic.
+  std::sort(finished_.begin(), finished_.end(),
+            [](const Flow& a, const Flow& b) { return a.id < b.id; });
+  for (Flow& f : finished_) {
+    completed_bytes_ += f.total;
+    f.done->trigger();
   }
-  return true;
+  finished_.clear();
 }
 
-void BandwidthLink::solve(double fair_prev) {
-  const std::size_t n = flows_.size();
-  min_capped_finish_ = kUncapped;
-  if (n == 0) {
-    fair_rate_ = kUncapped;
-    allocated_ = 0.0;
-    capped_count_ = 0;
-    pending_joins_.clear();
-    return;
-  }
-  // Canonical boundary scan (mirrored bit-for-bit by the oracle in
-  // tests/reference_link.hpp): walk caps in ascending (cap, id) order,
-  // accumulating the cap-bound prefix in Kahan-compensated long double.
-  // A flow is cap-bound iff its cap fits under the running fair share of
-  // the residual; the running share is monotone non-decreasing along the
-  // walk, so the scan stops at the first cap it cannot cover.  Clamping
-  // the residual at zero guarantees the fair share is never negative — an
-  // over-subscribed prefix cannot stall the uncapped flows behind it.
-  long double sum = 0.0L;
-  long double comp = 0.0L;
-  std::size_t k = 0;
+void BandwidthLink::solve() {
+  ++stats_.solves;
+  // Ascending-cap water-fill: a class is cap-bound iff its cap fits under
+  // the residual's share among the flows not yet cap-bound.  The share is
+  // monotone along the walk, so the first class that does not fit ends
+  // it, and a class whose cap fits for its first flow fits for all of
+  // them.  Clamping the residual at zero keeps the share non-negative.
+  long double capped = 0.0L;
+  std::size_t left = active_;
   double fair = kUncapped;
-  while (k < n) {
+  for (const Class& c : classes_) {
+    ++stats_.classes_walked;
     const double residual =
-        std::max(0.0, capacity_ - static_cast<double>(sum));
-    const double share = residual / static_cast<double>(n - k);
-    if (by_cap_[k].cap > share) {
+        std::max(0.0, capacity_ - static_cast<double>(capped));
+    const double share = residual / static_cast<double>(left);
+    if (c.cap > share) {
       fair = share;
       break;
     }
-    const long double y = static_cast<long double>(by_cap_[k].cap) - comp;
-    const long double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
-    // The cap-bound completion candidate rides along with the scan, so
-    // reschedule() never rescans the prefix.
-    const Flow* f = find_flow(by_cap_[k].id);
-    min_capped_finish_ =
-        std::min(min_capped_finish_, f->remaining / by_cap_[k].cap);
-    ++k;
+    const std::size_t members = heaps_[c.heap].size();
+    capped += static_cast<long double>(c.cap) * members;
+    left -= members;
   }
-  capped_count_ = k;
-  fair_rate_ = fair;  // kUncapped when every flow is cap-bound
-  const double capped_sum = static_cast<double>(sum);
-  allocated_ = k == n ? capped_sum
-                      : capped_sum + static_cast<double>(n - k) * fair;
-  // Fair-floor bookkeeping without touching the (possibly huge) fair set:
-  // when the share dropped, the flows whose caps fall in (fair, fair_prev]
-  // migrated cap-bound -> fair-share; they are contiguous in by_cap_ right
-  // after the prefix.  Fold them (and any joiner that landed fair-side)
-  // into the cached minimum — at a zero-width batch nobody else's
-  // remaining has changed.
-  if (fair_rate_ < fair_prev) {
-    for (std::size_t i = k; i < n && by_cap_[i].cap <= fair_prev; ++i) {
-      const Flow* f = find_flow(by_cap_[i].id);
-      min_fair_remaining_ = std::min(min_fair_remaining_, f->remaining);
-    }
-  }
-  for (const std::uint64_t id : pending_joins_) {
-    const Flow* f = find_flow(id);  // null when swept sub-epsilon already
-    if (f != nullptr && f->cap > fair_rate_)
-      min_fair_remaining_ = std::min(min_fair_remaining_, f->remaining);
-  }
-  pending_joins_.clear();
-}
-
-void BandwidthLink::refresh_fair_floor() {
-  min_fair_remaining_ = kUncapped;
-  for (const Flow& f : flows_)
-    if (f.cap > fair_rate_)
-      min_fair_remaining_ = std::min(min_fair_remaining_, f.remaining);
-  refresh_pending_ = false;
+  fair_rate_ = fair;
+  allocated_ = static_cast<double>(capped) +
+               (left > 0 ? static_cast<double>(left) * fair : 0.0);
 }
 
 void BandwidthLink::reschedule() {
   const std::uint64_t gen = ++gen_;
-  // min over flows of remaining/rate, assembled from the two cached
-  // minima: fair flows share one rate (rounding is monotone, so dividing
-  // the minimum equals the minimum of the divisions); cap-bound flows
-  // carry theirs from the solve scan.
-  double min_dt = min_capped_finish_;
-  if (capped_count_ < flows_.size() && fair_rate_ > 0.0)
-    min_dt = std::min(min_dt, min_fair_remaining_ / fair_rate_);
+  // A class's head has the least remaining of its class, and the whole
+  // class moves at one rate.
+  double min_dt = kUncapped;
+  for (const Class& c : classes_) {
+    ++stats_.classes_walked;
+    const double rate = std::min(c.cap, fair_rate_);
+    if (rate > 0.0)
+      min_dt = std::min(min_dt, (heaps_[c.heap].front().key - c.served) / rate);
+  }
   if (!std::isfinite(min_dt)) return;  // link down or no flows
   // Guarantee strict time progress: a delay below one ulp of now() would
   // fire at the same timestamp and make no headway.
   const double now = sim_.now();
   if (now + min_dt <= now)
-    min_dt = std::nextafter(now, std::numeric_limits<double>::infinity()) -
-             now;
-  sim_.schedule(min_dt, [this, gen] { on_timer(gen); });
+    min_dt = std::nextafter(now, kUncapped) - now;
+  ++stats_.timers_armed;
+  sim_.schedule(min_dt, [this, gen] {
+    if (gen != gen_) {
+      ++stats_.timers_superseded;  // a later topology change re-armed
+      return;
+    }
+    flush();
+  });
 }
 
-void BandwidthLink::resolve() {
+void BandwidthLink::flush() {
+  advance();
   batch_pending_ = false;  // this update subsumes any pending batch
-  const double fair_prev = fair_rate_;
-  solve(fair_prev);
-  // A rising fair share shrinks the fair set, so the cached floor could
-  // belong to a now-cap-bound flow; progress integration invalidates every
-  // cached remaining.  Either way the floor must be recomputed.
-  if (refresh_pending_ || fair_rate_ > fair_prev) refresh_fair_floor();
+  solve();
   reschedule();
-}
-
-void BandwidthLink::flush(bool zero_width_sweep) {
-  refresh_pending_ = advance(zero_width_sweep) || refresh_pending_;
-  resolve();
 }
 
 void BandwidthLink::request_batch() {
@@ -234,13 +188,8 @@ void BandwidthLink::request_batch() {
   sim_.schedule(0.0, [this] {
     // An eager path (capacity change, timer) may have flushed the batch
     // already at this timestamp; the flag makes the callback a no-op then.
-    if (batch_pending_) flush(/*zero_width_sweep=*/false);
+    if (batch_pending_) flush();
   });
-}
-
-void BandwidthLink::on_timer(std::uint64_t gen) {
-  if (gen != gen_) return;  // superseded by a later topology change
-  flush(/*zero_width_sweep=*/true);
 }
 
 }  // namespace lobster::des

@@ -13,29 +13,34 @@
 //   des::BandwidthLink wan(sim, util::gbit_per_s(10));
 //   co_await wan.transfer(util::gb(2.1));            // completes when done
 //
-// Incremental solver contract (the 200 Gbps data-plane work):
+// Incremental solver contract (per-cap-class virtual time):
 //
-//   * A max-min allocation is fully described by one number: the fair share
-//     F.  Every flow's rate is min(cap, F); flows with cap <= F are the
-//     cap-bound set, everyone else shares the residual equally.  The link
-//     therefore stores no per-flow rate at all — `by_cap_` keeps flow ids
-//     sorted by (cap, id), and solve() walks only the cap-bound *prefix*
-//     of that order (O(k+1) for k cap-bound flows; k == 0 in the saturated
-//     regime) instead of iterating full water-filling passes over every
-//     flow.  The prefix sum is accumulated in Kahan-compensated long
-//     double and the residual is clamped at zero, so the fair share can
-//     never go negative and stall uncapped flows (the latent precision
-//     trap in the old solver).
-//   * Same-timestamp updates coalesce: a join only appends the flow and
-//     schedules one zero-delay batch flush, so a dispatch burst of N
-//     transfers triggers one solve, not N.  Capacity changes and timer
-//     completions flush eagerly (allocated_rate() <= capacity() must hold
-//     the moment set_capacity returns).
-//   * The arithmetic is canonical — ascending (cap, id) order, Kahan
-//     prefix, residual/(n-k) — and deliberately identical to the naive
-//     O(n^2) oracle in tests/reference_link.hpp; bandwidth_diff_test
-//     fuzzes thousands of join/finish/cap-change/outage interleavings and
-//     requires rates within 1 ulp and completion times bit-identical.
+//   * A max-min allocation is one number, the fair share F: every flow's
+//     rate is min(cap, F).  Flows with equal caps therefore always move at
+//     the same rate, so each distinct cap is a *class* with one cumulative
+//     service counter S (Parekh–Gallager virtual time).  A flow is stored
+//     once, in its class's min-heap on its finish key S_join + bytes; its
+//     remaining bytes are key − S.  Nothing per flow is touched while it
+//     runs.
+//   * Per link event: advance() adds min(cap, F)·dt to each class counter
+//     and pops finished heads; solve() walks the classes in ascending cap
+//     (residual/(n−k) with class counts — if a class's cap fits under the
+//     running share, the whole class fits); the next timer is the minimum
+//     over class heads.  That is O(classes + log n) per event: O(log n) on
+//     every production link, which use one cap each.
+//   * Same-timestamp joins coalesce into one zero-delay flush, so a dispatch
+//     burst of N transfers triggers one solve, not N.  Capacity changes and
+//     timer completions flush eagerly (allocated_rate() <= capacity() holds
+//     the moment set_capacity returns).  Completions due at one instant
+//     trigger in ascending flow id; a joiner at or below its completion
+//     epsilon completes at its own timestamp's flush.
+//   * Precision rule: a class counter grows over its busy period, so it is
+//     reset (the class dropped) whenever the class empties, and the
+//     completion test forgives a few ulps of the finish key — a counter too
+//     large to register a sub-ulp increment can never leave a link spinning
+//     on timers that make no progress.  Rounding therefore differs from the
+//     naive per-flow oracle in tests/reference_link.hpp; bandwidth_diff_test
+//     holds the two to a documented relative tolerance.
 #pragma once
 
 #include <algorithm>
@@ -53,6 +58,16 @@ class BandwidthLink {
  public:
   static constexpr double kUncapped = std::numeric_limits<double>::infinity();
 
+  /// Host-cost counters.  They count work rather than time, so tests can
+  /// pin the link's complexity deterministically.
+  struct Stats {
+    std::uint64_t solves = 0;             ///< fair-share re-solves
+    std::uint64_t classes_walked = 0;     ///< class visits by every pass
+    std::uint64_t flows_popped = 0;       ///< completions popped from heaps
+    std::uint64_t timers_armed = 0;       ///< completion timers scheduled
+    std::uint64_t timers_superseded = 0;  ///< timers that fired as no-ops
+  };
+
   BandwidthLink(Simulation& sim, double capacity_bytes_per_s);
   BandwidthLink(const BandwidthLink&) = delete;
   BandwidthLink& operator=(const BandwidthLink&) = delete;
@@ -61,24 +76,37 @@ class BandwidthLink {
   void set_capacity(double bytes_per_s);
   double capacity() const { return capacity_; }
 
-  std::size_t active_flows() const { return flows_.size(); }
-  /// Total bytes moved across the link so far (completed + partial flows);
-  /// used by the conservation property tests.
+  std::size_t active_flows() const { return active_; }
+  /// Total bytes moved across the link up to sim.now() (completed + partial
+  /// flows).  A pure read: it integrates without touching link state, so a
+  /// measurement never schedules events.  O(flows).
   [[nodiscard]] double bytes_moved() const;
-  /// Instantaneous allocated rate summed over flows (<= capacity).  O(1):
-  /// cap-bound prefix sum plus (n - k) * fair share, maintained by solve().
+  /// Instantaneous allocated rate summed over flows (<= capacity), as of the
+  /// last solve.  O(1).
   double allocated_rate() const { return allocated_; }
   /// Current fair share F: every flow's rate is min(cap, F).  kUncapped
   /// when every flow is cap-bound (or no flows); 0 while the link is down.
   [[nodiscard]] double fair_rate() const { return fair_rate_; }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Visit every active flow in ascending flow-id order (the deterministic
-  /// iteration order everything else pins).  For the property/differential
-  /// tests: fn(id, total, remaining, cap, rate).
+  /// Visit every active flow in ascending flow-id order, with remaining
+  /// bytes as of the link's last event.  For the property/differential
+  /// tests (O(n log n)): fn(id, total, remaining, cap, rate).
   template <typename Fn>
   void for_each_flow(Fn&& fn) const {
-    for (const Flow& f : flows_)
-      fn(f.id, f.total, f.remaining, f.cap, std::min(f.cap, fair_rate_));
+    struct Row {
+      std::uint64_t id;
+      double total, remaining, cap, rate;
+    };
+    std::vector<Row> rows;
+    rows.reserve(active_);
+    for (const Class& c : classes_)
+      for (const Flow& f : heaps_[c.heap])
+        rows.push_back({f.id, f.total, std::max(0.0, f.key - c.served), c.cap,
+                        std::min(c.cap, fair_rate_)});
+    std::sort(rows.begin(), rows.end(),
+              [](const Row& a, const Row& b) { return a.id < b.id; });
+    for (const Row& r : rows) fn(r.id, r.total, r.remaining, r.cap, r.rate);
   }
 
   struct TransferAwaiter {
@@ -86,7 +114,7 @@ class BandwidthLink {
     double bytes;
     double rate_cap;
     std::shared_ptr<Event> done;
-    bool await_ready() noexcept {
+    bool await_ready() {
       if (bytes <= 0.0) return true;
       done = link->start_flow(bytes, rate_cap);
       return done->triggered();
@@ -103,89 +131,62 @@ class BandwidthLink {
   /// Advanced: start a flow and return its completion event without
   /// awaiting.  Multi-hop paths (site uplink feeding a shared WAN trunk)
   /// use this to occupy several links simultaneously and then wait for the
-  /// slowest hop.
+  /// slowest hop.  Throws std::invalid_argument on a NaN size or a
+  /// non-positive cap.
   std::shared_ptr<Event> start_flow(double bytes, double rate_cap);
 
  private:
-  friend struct TransferAwaiter;
+  /// One flow, stored only in its class's heap.
   struct Flow {
+    double key = 0.0;  ///< class counter value at which the flow is done
     std::uint64_t id = 0;
     double total = 0.0;
-    double remaining = 0.0;
-    double cap = 0.0;
     std::shared_ptr<Event> done;
-  };
-  /// by_cap_ ordering key: ascending (cap, id).  The cap-bound set is
-  /// always a prefix of this order, so solve() never scans past it.
-  struct CapEntry {
-    double cap = 0.0;
-    std::uint64_t id = 0;
-    bool operator<(const CapEntry& o) const {
-      return cap != o.cap ? cap < o.cap : id < o.id;
+    /// std::*_heap keep a max-heap; this order makes it a min-heap on
+    /// (key, id).
+    bool operator<(const Flow& o) const {
+      return key != o.key ? key > o.key : id > o.id;
     }
   };
+  /// All flows sharing one cap: they always move at min(cap, F).
+  struct Class {
+    double cap = 0.0;
+    double served = 0.0;     ///< bytes served to each member this busy period
+    std::uint32_t heap = 0;  ///< slot in heaps_
+  };
 
-  const Flow* find_flow(std::uint64_t id) const;
-  /// Integrate progress since the last update at the current rates and
-  /// sweep completions.  Returns true when flow progress changed (time
-  /// advanced or a pending sub-epsilon joiner completed) — the caller then
-  /// owes a refresh_fair_floor() after the next solve().  Zero-width
-  /// updates sweep pending sub-epsilon joiners only when `zero_width_sweep`
-  /// is set: joins, capacity changes, and timers sweep (the historical
-  /// every-event contract the oracle reproduces); the link's own batch
-  /// flush does not, because the naive semantics have no such event.
-  bool advance(bool zero_width_sweep);
-  /// Re-solve the cap-bound/fair-share boundary (canonical ascending scan,
-  /// O(k+1)).  `fair_prev` is the fair share before this solve; when the
-  /// share dropped, the flows whose caps fall in (fair, fair_prev] migrate
-  /// cap-bound -> fair-share and their remaining bytes join the fair floor.
-  void solve(double fair_prev);
-  /// Recompute min remaining over fair-share flows (O(n)); needed whenever
-  /// progress integrated or the fair share rose (the fair set shrank).
-  void refresh_fair_floor();
-  /// Schedule the next completion callback (cancels stale ones via gen_).
+  /// Integrate every class counter to now() at the current rates, then pop
+  /// and trigger (ascending id) every flow that finished.  Classes that
+  /// empty are dropped, which restarts their counter at zero.
+  void advance();
+  /// Ascending-cap water-fill over the classes: sets fair_rate_/allocated_.
+  void solve();
+  /// Arm the next completion timer (cancels stale ones via gen_).
   void reschedule();
-  /// solve + conditional refresh + reschedule; subsumes any pending batch.
-  void resolve();
-  /// advance + resolve: the eager update path (timer completions) and the
-  /// zero-delay batch flush.
-  void flush(bool zero_width_sweep);
-  /// Coalesce same-timestamp updates: the first join at a timestamp
+  /// advance + solve + reschedule; subsumes any pending batch.
+  void flush();
+  /// Coalesce same-timestamp joins: the first join at a timestamp
   /// schedules one zero-delay flush; further joins ride along for free.
   void request_batch();
-  void on_timer(std::uint64_t gen);
 
   Simulation& sim_;
   double capacity_;
   double last_update_ = 0.0;
   double completed_bytes_ = 0.0;
-  std::uint64_t next_id_ = 0;
-  std::uint64_t gen_ = 0;
-  // Solver state: fair share F, cached allocation, cap-bound prefix size,
-  // and the two completion-candidate minima reschedule() needs (min
-  // remaining over fair flows; min remaining/cap over cap-bound flows).
   double fair_rate_ = kUncapped;
   double allocated_ = 0.0;
-  std::size_t capped_count_ = 0;
-  double min_fair_remaining_ = kUncapped;
-  double min_capped_finish_ = kUncapped;
+  std::size_t active_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t gen_ = 0;
   bool batch_pending_ = false;
-  bool sweep_pending_ = false;
-  bool refresh_pending_ = false;
-  // Flat array kept in ascending flow-id order (ids are assigned
-  // monotonically, so push_back maintains it; completion erasure compacts
-  // stably).  Id-order iteration makes same-time completions trigger
-  // deterministically and pins the floating-point summation order the
-  // golden files depend on.
-  std::vector<Flow> flows_;
-  // Flow ids sorted by (cap, id).  Uniform caps (the federation's
-  // per-stream limit) insert at the tail in O(1); heterogeneous caps pay
-  // one ordered insert per join.
-  std::vector<CapEntry> by_cap_;
-  // Joins since the last solve: classified into the fair floor once the
-  // post-batch fair share is known.
-  std::vector<std::uint64_t> pending_joins_;
-  std::vector<std::uint64_t> removed_scratch_;
+  Stats stats_;
+  // Non-empty classes in ascending cap order.  A class is trivially
+  // copyable, so inserting one moves 24-byte records; its flows live in a
+  // heap slot that outlives the class and is reused by the next one.
+  std::vector<Class> classes_;
+  std::vector<std::vector<Flow>> heaps_;
+  std::vector<std::uint32_t> free_heaps_;
+  std::vector<Flow> finished_;  // advance() scratch
 };
 
 }  // namespace lobster::des

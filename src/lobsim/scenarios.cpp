@@ -358,10 +358,7 @@ RampResult run_200gbps_ramp(const RampOptions& opt) {
   if (opt.uplink_collapse)
     fed.schedule_path_outage(0, 0.5 * horizon, 1.5 * opt.phase_seconds);
 
-  // Per-phase throughput from per-site uplink byte deltas.  bytes_moved()
-  // integrates up to each link's last event, so poke live links (same-value
-  // capacity set) at the boundary; a downed link is exact without a poke
-  // (it integrated when its capacity dropped and moves nothing since).
+  // Per-phase throughput from per-site uplink byte deltas.
   RampResult r;
   std::vector<double> last_bytes(opt.sites, 0.0);
   for (std::size_t ph = 0; ph < opt.phases; ++ph) {
@@ -371,9 +368,7 @@ RampResult run_200gbps_ramp(const RampOptions& opt) {
       snap.offered_gbps = offered[ph];
       snap.site_gbps.resize(fed.num_paths());
       for (std::size_t s = 0; s < fed.num_paths(); ++s) {
-        auto& link = fed.path_link(s);
-        if (!fed.path_down(s)) link.set_capacity(link.capacity());
-        const double moved = link.bytes_moved();
+        const double moved = fed.path_link(s).bytes_moved();
         snap.site_gbps[s] = (moved - last_bytes[s]) / opt.phase_seconds /
                             util::gbit_per_s(1.0);
         snap.achieved_gbps += snap.site_gbps[s];

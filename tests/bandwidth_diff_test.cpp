@@ -1,25 +1,27 @@
-// Differential-testing battery for the incremental max-min solver.
+// Differential-testing battery for the per-cap-class virtual-time link.
 //
-// des::BandwidthLink re-solves only the cap-bound/fair-share boundary and
+// des::BandwidthLink integrates one service counter per cap class and
 // batches same-timestamp updates; tests/reference_link.hpp is the naive
-// from-scratch water-filler with the same canonical arithmetic.  A seeded
-// schedule fuzzer drives both through thousands of generated
-// join/finish/cap-change/outage interleavings and demands:
+// from-scratch water-filler that subtracts rate * dt from every flow.  The
+// two round differently, so seeded schedule fuzzers drive both through
+// thousands of generated join/finish/cap-change/outage interleavings and
+// demand agreement within a relative tolerance (see kTol below):
 //
-//   * completion outcomes bit-identical (same flows finish, at exactly the
-//     same simulated timestamps);
-//   * probed per-flow remaining bytes bit-identical;
-//   * probed per-flow rates within 1 ulp;
-//   * probed aggregate allocation within 1 ulp-scale relative tolerance.
+//   * the same flows complete, at times within kTol;
+//   * completions further apart than kTol happen in the same order;
+//   * probed per-flow remaining bytes, per-flow rates and the aggregate
+//     allocation agree within kTol.
 //
 // On mismatch the failing schedule is greedily shrunk (drop one op at a
 // time while the failure persists) and printed as a replayable C++
 // literal; paste it into the Replay test below to debug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,14 @@ namespace lobster {
 namespace {
 
 constexpr double kUncapped = des::BandwidthLink::kUncapped;
+
+// Relative tolerance of every comparison.  A class counter carries the
+// rounding of every increment of its busy period, where the oracle carries
+// only the flow's own; the absolute floors below are the link's byte
+// resolution (its 1e-6 B completion epsilon) and one microsecond.
+constexpr double kTol = 1e-9;
+constexpr double kBytesFloor = 1e-6;
+constexpr double kTimeFloor = 1e-6;
 
 enum class OpKind { Join, SetCapacity };
 
@@ -53,10 +63,12 @@ struct Schedule {
 struct FlowOutcome {
   bool completed = false;
   double at = 0.0;
+  std::size_t order = 0;  ///< position in the run's completion sequence
 };
 
 struct FlowProbe {
   std::uint64_t id = 0;
+  double total = 0.0;
   double remaining = 0.0;
   double rate = 0.0;
 };
@@ -70,14 +82,17 @@ struct ProbePoint {
 struct RunTrace {
   std::vector<FlowOutcome> outcomes;  // indexed by join order
   std::vector<ProbePoint> probes;
+  std::size_t completions = 0;
+  std::uint64_t events = 0;
 };
 
 template <typename Link>
 des::Process join_proc(des::Simulation& sim, Link& link, double bytes,
-                       double cap, FlowOutcome& out) {
+                       double cap, FlowOutcome& out, std::size_t& seq) {
   co_await link.transfer(bytes, cap);
   out.completed = true;
   out.at = sim.now();
+  out.order = seq++;
 }
 
 // Ops land on a 2^-3 time grid and probes 2^-6 after each op timestamp:
@@ -103,8 +118,8 @@ RunTrace run_schedule(const Schedule& s) {
       FlowOutcome& out = trace.outcomes[join_index++];
       const double bytes = op.value;
       const double cap = op.cap;
-      sim.schedule(op.at, [&sim, &link, bytes, cap, &out] {
-        sim.spawn(join_proc(sim, link, bytes, cap, out));
+      sim.schedule(op.at, [&sim, &link, &trace, bytes, cap, &out] {
+        sim.spawn(join_proc(sim, link, bytes, cap, out, trace.completions));
       });
     } else {
       const double capacity = op.value;
@@ -117,20 +132,21 @@ RunTrace run_schedule(const Schedule& s) {
       ProbePoint p;
       p.at = sim.now();
       p.allocated = link.allocated_rate();
-      link.for_each_flow([&p](std::uint64_t id, double /*total*/,
+      link.for_each_flow([&p](std::uint64_t id, double total,
                               double remaining, double /*cap*/, double rate) {
-        p.flows.push_back(FlowProbe{id, remaining, rate});
+        p.flows.push_back(FlowProbe{id, total, remaining, rate});
       });
       trace.probes.push_back(std::move(p));
     });
   }
   sim.run_until(s.horizon);
+  trace.events = sim.events_executed();
   return trace;
 }
 
-bool within_one_ulp(double a, double b) {
-  if (a == b) return true;
-  return std::nextafter(a, b) == b;
+bool close(double a, double b, double floor) {
+  if (a == b) return true;  // also equal infinities
+  return std::abs(a - b) <= kTol * std::max(std::abs(a), std::abs(b)) + floor;
 }
 
 std::string fmt(double v) {
@@ -145,18 +161,43 @@ std::string compare_run(const Schedule& s) {
   const RunTrace inc = run_schedule<des::BandwidthLink>(s);
   const RunTrace ref = run_schedule<testref::ReferenceLink>(s);
 
-  for (std::size_t i = 0; i < inc.outcomes.size(); ++i) {
+  const std::size_t n = inc.outcomes.size();
+  for (std::size_t i = 0; i < n; ++i) {
     const FlowOutcome& a = inc.outcomes[i];
     const FlowOutcome& b = ref.outcomes[i];
     if (a.completed != b.completed)
       return "join #" + std::to_string(i) + " completion disagrees: inc=" +
              (a.completed ? "done" : "pending") + " ref=" +
              (b.completed ? "done" : "pending");
-    // Bit-identical, not a tolerance band: both solvers must schedule the
-    // completion timer for exactly the same timestamp.
-    if (a.completed && a.at != b.at)
+    if (a.completed && !close(a.at, b.at, kTimeFloor))
       return "join #" + std::to_string(i) + " completion time drifted: inc=" +
              fmt(a.at) + " ref=" + fmt(b.at);
+  }
+  // Order: walk completions in reference time; every completion clearly
+  // (beyond the tolerance) earlier in the reference must also be earlier
+  // in the link's completion sequence.
+  std::vector<std::size_t> done;
+  for (std::size_t i = 0; i < n; ++i)
+    if (ref.outcomes[i].completed) done.push_back(i);
+  std::sort(done.begin(), done.end(), [&ref](std::size_t a, std::size_t b) {
+    return ref.outcomes[a].at < ref.outcomes[b].at;
+  });
+  std::size_t earlier = 0;   // done[0, earlier) are clearly before done[k]
+  std::size_t latest = n;    // among those, the one the link finished last
+  for (const std::size_t j : done) {
+    const double tj = ref.outcomes[j].at;
+    for (; earlier < done.size(); ++earlier) {
+      const std::size_t i = done[earlier];
+      const double ti = ref.outcomes[i].at;
+      if (ti >= tj || close(ti, tj, kTimeFloor)) break;
+      if (latest == n || inc.outcomes[i].order > inc.outcomes[latest].order)
+        latest = i;
+    }
+    if (latest != n && inc.outcomes[latest].order > inc.outcomes[j].order)
+      return "joins #" + std::to_string(latest) + " and #" +
+             std::to_string(j) + " completed out of order: ref " +
+             fmt(ref.outcomes[latest].at) + " < " + fmt(tj) + ", inc " +
+             fmt(inc.outcomes[latest].at) + " / " + fmt(inc.outcomes[j].at);
   }
   if (inc.probes.size() != ref.probes.size())
     return "probe count disagrees (harness bug)";
@@ -167,33 +208,39 @@ std::string compare_run(const Schedule& s) {
       return "probe at t=" + fmt(a.at) + ": live flow count inc=" +
              std::to_string(a.flows.size()) + " ref=" +
              std::to_string(b.flows.size());
-    // Per-flow rates are held to 1 ulp below; the aggregate is only held to
-    // a tight relative tolerance because the two sides sum in different
-    // orders by design (cached cap-bound prefix + (n-k)*fair vs. the
-    // oracle's naive id-order sum), which legitimately drifts a few ulps.
-    const double alloc_tol =
-        1e-12 * std::max(std::abs(a.allocated), std::abs(b.allocated));
-    if (std::abs(a.allocated - b.allocated) > alloc_tol &&
-        !within_one_ulp(a.allocated, b.allocated))
+    if (!close(a.allocated, b.allocated, 0.0))
       return "probe at t=" + fmt(a.at) + ": allocated_rate inc=" +
              fmt(a.allocated) + " ref=" + fmt(b.allocated);
     for (std::size_t j = 0; j < a.flows.size(); ++j) {
-      if (a.flows[j].id != b.flows[j].id)
+      const FlowProbe& fa = a.flows[j];
+      const FlowProbe& fb = b.flows[j];
+      if (fa.id != fb.id)
         return "probe at t=" + fmt(a.at) + ": flow id order diverged";
-      if (a.flows[j].remaining != b.flows[j].remaining)
-        return "probe at t=" + fmt(a.at) + " flow " +
-               std::to_string(a.flows[j].id) + ": remaining inc=" +
-               fmt(a.flows[j].remaining) + " ref=" + fmt(b.flows[j].remaining);
-      if (!within_one_ulp(a.flows[j].rate, b.flows[j].rate))
-        return "probe at t=" + fmt(a.at) + " flow " +
-               std::to_string(a.flows[j].id) + ": rate inc=" +
-               fmt(a.flows[j].rate) + " ref=" + fmt(b.flows[j].rate);
+      // Remaining bytes are held relative to the flow's size: the error is
+      // the counter's, not a fraction of what is left.
+      if (std::abs(fa.remaining - fb.remaining) >
+          kTol * fa.total + kBytesFloor)
+        return "probe at t=" + fmt(a.at) + " flow " + std::to_string(fa.id) +
+               ": remaining inc=" + fmt(fa.remaining) +
+               " ref=" + fmt(fb.remaining);
+      if (!close(fa.rate, fb.rate, 0.0))
+        return "probe at t=" + fmt(a.at) + " flow " + std::to_string(fa.id) +
+               ": rate inc=" + fmt(fa.rate) + " ref=" + fmt(fb.rate);
     }
   }
   return {};
 }
 
-// ------------------------------------------------------- schedule fuzzer ----
+// ------------------------------------------------------ schedule fuzzers ----
+
+/// Advance the op clock: a same-timestamp burst (exercises the coalesced
+/// batch flush), one grid step, or a longer gap.
+double next_time(util::Rng& shape, double t, bool first, int max_gap) {
+  const double roll = shape.uniform();
+  if (!first && roll < 0.30) return t;
+  if (roll < 0.65) return t + 0.125;
+  return t + 0.125 * static_cast<double>(1 + shape.uniform_int(0, max_gap));
+}
 
 Schedule gen_schedule(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -206,14 +253,7 @@ Schedule gen_schedule(std::uint64_t seed) {
   double t = 0.0;
   double capacity_now = s.capacity;
   for (std::int64_t i = 0; i < n_ops; ++i) {
-    const double advance_roll = shape.uniform();
-    if (i > 0 && advance_roll < 0.30) {
-      // same-timestamp burst: exercises the coalesced batch flush
-    } else if (advance_roll < 0.65) {
-      t += 0.125;
-    } else {
-      t += 0.125 * static_cast<double>(1 + shape.uniform_int(0, 40));
-    }
+    t = next_time(shape, t, i == 0, 40);
     Op op;
     op.at = t;
     if (shape.uniform() < 0.75) {
@@ -229,8 +269,7 @@ Schedule gen_schedule(std::uint64_t seed) {
       if (cap_roll < 0.30) {
         op.cap = kUncapped;
       } else if (cap_roll < 0.50) {
-        // Near-equal caps: stresses the boundary scan's tie handling and
-        // the Kahan prefix's rounding discipline.
+        // Near-equal caps: stresses the class walk's tie handling.
         op.cap = 1.0 + values.uniform(0.0, 1e-9);
       } else {
         op.cap = std::pow(10.0, values.uniform(-2.0, 2.0));
@@ -249,6 +288,54 @@ Schedule gen_schedule(std::uint64_t seed) {
     s.ops.push_back(Op{t, OpKind::SetCapacity, s.capacity, kUncapped});
   }
   s.horizon = t + 1e7;  // generous drain window; stragglers stay pending
+  return s;
+}
+
+/// One cap class hovering at saturation: the capacity fits about eight
+/// flows at their cap, and arrivals keep about eight in flight, so nearly
+/// every join and completion moves the class across the fair share.
+Schedule gen_saturation_schedule(std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::Rng shape = rng.stream("saturation-shape");
+  util::Rng values = rng.stream("saturation-values");
+  const double cap = std::pow(10.0, shape.uniform(-1.0, 2.0));
+  Schedule s;
+  s.capacity = 8.0 * cap * (1.0 + shape.uniform(-1e-9, 1e-9));
+  const std::int64_t n_ops = 20 + shape.uniform_int(0, 40);
+  double t = 0.0;
+  for (std::int64_t i = 0; i < n_ops; ++i) {
+    t = next_time(shape, t, i == 0, 16);
+    s.ops.push_back(
+        Op{t, OpKind::Join, cap * values.uniform(0.5, 20.0), cap});
+  }
+  s.horizon = t + 1e7;
+  return s;
+}
+
+/// A few caps on one link, with the fair share crossing them as flows come
+/// and go and the capacity steps, so classes change sides in both
+/// directions.
+Schedule gen_mixed_caps_schedule(std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::Rng shape = rng.stream("mixed-shape");
+  util::Rng values = rng.stream("mixed-values");
+  const double unit = std::pow(10.0, shape.uniform(-1.0, 2.0));
+  const double caps[] = {unit, 2.0 * unit, 3.0 * unit, 4.0 * unit, kUncapped};
+  Schedule s;
+  s.capacity = 16.0 * unit;
+  const std::int64_t n_ops = 20 + shape.uniform_int(0, 40);
+  double t = 0.0;
+  for (std::int64_t i = 0; i < n_ops; ++i) {
+    t = next_time(shape, t, i == 0, 16);
+    if (shape.uniform() < 0.9) {
+      s.ops.push_back(Op{t, OpKind::Join, unit * values.uniform(0.5, 40.0),
+                         caps[values.uniform_int(0, 4)]});
+    } else {
+      s.ops.push_back(Op{t, OpKind::SetCapacity,
+                         unit * values.uniform(4.0, 32.0), kUncapped});
+    }
+  }
+  s.horizon = t + 1e7;
   return s;
 }
 
@@ -289,14 +376,14 @@ std::string as_literal(const Schedule& s) {
   return out;
 }
 
-// ------------------------------------------------------------------ tests ----
-
-TEST(BandwidthDiff, FuzzedSchedulesMatchOracle) {
-  std::uint64_t schedules = 5000;
+/// Fuzz `count` seeds of one generator; LOBSTER_DIFF_SCHEDULES overrides
+/// the count.  The first mismatch is shrunk and printed.
+void fuzz(const std::function<Schedule(std::uint64_t)>& gen,
+          std::uint64_t count) {
   if (const char* env = std::getenv("LOBSTER_DIFF_SCHEDULES"))
-    schedules = std::strtoull(env, nullptr, 10);
-  for (std::uint64_t seed = 1; seed <= schedules; ++seed) {
-    const Schedule s = gen_schedule(seed);
+    count = std::strtoull(env, nullptr, 10);
+  for (std::uint64_t seed = 1; seed <= count; ++seed) {
+    const Schedule s = gen(seed);
     const std::string mismatch = compare_run(s);
     if (mismatch.empty()) continue;
     const Schedule minimal = shrink(s);
@@ -305,6 +392,38 @@ TEST(BandwidthDiff, FuzzedSchedulesMatchOracle) {
            << compare_run(minimal) << ");\nreplay with:\n"
            << as_literal(minimal);
   }
+}
+
+// ------------------------------------------------------------------ tests ----
+
+TEST(BandwidthDiff, FuzzedSchedulesMatchOracle) { fuzz(gen_schedule, 5000); }
+
+TEST(BandwidthDiff, UniformCapsAtSaturationMatchOracle) {
+  fuzz(gen_saturation_schedule, 500);
+}
+
+TEST(BandwidthDiff, MixedCapsCrossingFairShareMatchOracle) {
+  fuzz(gen_mixed_caps_schedule, 500);
+}
+
+// One class busy for 1e7 simulated seconds: 1 GB flows arrive slightly
+// faster than the link drains them, and 1 B flows ride along.  The class
+// counter ends near 1e10 B, where one ulp exceeds the 1 B flows' completion
+// epsilon — every flow must still finish, in a bounded number of events.
+TEST(BandwidthDiff, LongBusyClassDoesNotStall) {
+  Schedule s{/*capacity=*/1e4, /*horizon=*/2e7, {}};
+  for (double t = 0.0; t < 1e7; t += 90000.0)
+    s.ops.push_back(Op{t, OpKind::Join, 1e9, kUncapped});
+  for (double t = 500.0; t < 1e7; t += 997.0)
+    s.ops.push_back(Op{t, OpKind::Join, 1.0, kUncapped});
+  std::sort(s.ops.begin(), s.ops.end(),
+            [](const Op& a, const Op& b) { return a.at < b.at; });
+  EXPECT_EQ(compare_run(s), "");
+  const RunTrace inc = run_schedule<des::BandwidthLink>(s);
+  EXPECT_EQ(inc.completions, s.ops.size());
+  // Per flow: a spawn, a batch flush, a completion timer, a resume, and
+  // the probe; superseded timers stay below one per flow.
+  EXPECT_LT(inc.events, 8 * s.ops.size());
 }
 
 // Targeted interleavings the fuzzer relies on probability to hit.
@@ -329,9 +448,8 @@ TEST(BandwidthDiff, CapacityToZeroAndBackMidFlight) {
   EXPECT_EQ(compare_run(s), "");
 }
 
-// Sub-epsilon joiners complete at the next sweeping event — a later
-// same-timestamp join/capacity change, or their own tiny completion timer —
-// never at the link's internal batch flush (which the naive semantics lack).
+// Sub-epsilon joiners complete at their own join timestamp, on both links,
+// even mid-outage.
 TEST(BandwidthDiff, SubEpsilonJoinersMatchOracle) {
   const Schedule s{/*capacity=*/10.0, /*horizon=*/1e6,
                    {
@@ -339,13 +457,20 @@ TEST(BandwidthDiff, SubEpsilonJoinersMatchOracle) {
                        {1.0, OpKind::Join, 5e-7, kUncapped},
                        {1.0, OpKind::Join, 1e-8, 0.001},
                        {2.0, OpKind::Join, 50.0, 2.0},
+                       {3.0, OpKind::SetCapacity, 0.0, kUncapped},
+                       {3.5, OpKind::Join, 1e-7, kUncapped},
+                       {4.0, OpKind::SetCapacity, 10.0, kUncapped},
                    }};
   EXPECT_EQ(compare_run(s), "");
+  const RunTrace inc = run_schedule<des::BandwidthLink>(s);
+  EXPECT_EQ(inc.outcomes[1].at, 1.0);
+  EXPECT_EQ(inc.outcomes[2].at, 1.0);
+  EXPECT_EQ(inc.outcomes[4].at, 3.5);
 }
 
 TEST(BandwidthDiff, NearEqualCapBandMigration) {
-  // Caps straddle the fair share so joins migrate flows cap-bound ->
-  // fair-share (the solve() band walk) and completions migrate them back.
+  // Caps straddle the fair share so joins move classes cap-bound ->
+  // fair-share and completions move them back.
   Schedule s{/*capacity=*/64.0, /*horizon=*/1e6, {}};
   for (int i = 0; i < 24; ++i)
     s.ops.push_back(Op{0.25 * i, OpKind::Join, 100.0 + 7.0 * i,

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -363,6 +364,81 @@ TEST(Bandwidth, ZeroByteTransferIsImmediate) {
   sim.run();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_DOUBLE_EQ(done[0], 0.0);
+}
+
+// bytes_moved() integrates up to now() between the link's own events, and
+// reading it changes nothing: the completion times match a run without
+// reads bit for bit.
+TEST(Bandwidth, BytesMovedBetweenEventsIsTheIntegral) {
+  const auto run = [](bool read, std::vector<double>& done) {
+    des::Simulation sim;
+    des::BandwidthLink link(sim, 100.0);
+    sim.spawn(do_transfer(sim, link, 1000.0, des::BandwidthLink::kUncapped,
+                          done));
+    sim.schedule(2.0, [&] {
+      sim.spawn(do_transfer(sim, link, 500.0, 20.0, done));
+    });
+    // 100 B/s throughout until the uncapped flow finishes at t=12, then the
+    // capped one alone at 20 B/s until t=27.
+    const auto integral = [](double t) {
+      return t <= 12.0 ? 100.0 * t
+                       : std::min(1500.0, 1200.0 + 20.0 * (t - 12.0));
+    };
+    if (read)
+      for (const double t : {1.0, 5.5, 11.99, 13.0, 20.0, 30.0})
+        sim.schedule(t, [&sim, &link, integral] {
+          EXPECT_NEAR(link.bytes_moved(), integral(sim.now()), 1e-9)
+              << "t=" << sim.now();
+        });
+    sim.run();
+  };
+  std::vector<double> with_reads, without;
+  run(true, with_reads);
+  run(false, without);
+  ASSERT_EQ(without.size(), 2u);
+  EXPECT_NEAR(without[0], 12.0, 1e-9);
+  EXPECT_NEAR(without[1], 27.0, 1e-9);
+  EXPECT_EQ(with_reads, without);
+}
+
+// Cost pin, by counted work rather than wall time: 200 short transfers
+// churn through n long-running flows of the same cap class.  The work per
+// solve (classes walked plus flows popped) must not grow with n — a link
+// that walks its flows per event fails at 10n.
+TEST(Bandwidth, EventCostDoesNotGrowWithFlowsInOneClass) {
+  const auto work_per_solve = [](int n) {
+    des::Simulation sim;
+    des::BandwidthLink link(sim, 1e9);
+    std::vector<double> done;
+    for (int i = 0; i < n; ++i)
+      (void)link.start_flow(1e15, des::BandwidthLink::kUncapped);
+    for (int k = 0; k < 200; ++k)
+      sim.schedule(1.0 + k, [&] {
+        sim.spawn(do_transfer(sim, link, 1e3, des::BandwidthLink::kUncapped,
+                              done));
+      });
+    sim.run_until(300.0);
+    EXPECT_EQ(done.size(), 200u);
+    const des::BandwidthLink::Stats& st = link.stats();
+    EXPECT_EQ(st.flows_popped, 200u);
+    EXPECT_GT(st.solves, 400u);
+    return static_cast<double>(st.classes_walked + st.flows_popped) /
+           static_cast<double>(st.solves);
+  };
+  const double small = work_per_solve(1000);
+  const double large = work_per_solve(10000);
+  EXPECT_LT(large, 2.0 * small)
+      << "n=1000: " << small << ", n=10000: " << large;
+}
+
+TEST(Bandwidth, NanTransferSizeIsRejected) {
+  des::Simulation sim;
+  des::BandwidthLink link(sim, 100.0);
+  EXPECT_THROW(
+      (void)link.start_flow(std::nan(""), des::BandwidthLink::kUncapped),
+      std::invalid_argument);
+  EXPECT_THROW((void)link.start_flow(1.0, std::nan("")), std::invalid_argument);
+  EXPECT_EQ(link.active_flows(), 0u);
 }
 
 // Property: random flow sets conserve bytes and never exceed capacity.

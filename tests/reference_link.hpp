@@ -3,20 +3,24 @@
 // ReferenceLink is a drop-in BandwidthLink with none of the incremental
 // machinery: every join/finish/capacity change re-sorts the full flow set,
 // re-runs the water-fill from scratch (O(n) per event, O(n^2) per flow
-// lifetime), stores an explicit per-flow rate, sweeps completions on every
-// advance, and never batches same-timestamp updates.  That makes it slow
-// and obviously correct — the property the differential battery leans on:
-// bandwidth_diff_test fuzzes thousands of schedules through both links and
-// requires rates within 1 ulp and completion times bit-identical, and
-// bench/micro_net uses it as the "full-recompute baseline" the incremental
-// solver must beat by >= 10x at 100k concurrent flows.
+// lifetime), stores an explicit per-flow rate and remaining byte count,
+// sweeps completions on every advance, and never batches same-timestamp
+// updates.  That makes it slow and obviously correct — the property the
+// differential battery leans on: bandwidth_diff_test fuzzes thousands of
+// schedules through both links and requires completion times, completion
+// order, remaining bytes and rates to agree within a documented relative
+// tolerance, and bench/micro_net uses it as the "full-recompute baseline"
+// the incremental solver must beat by >= 10x at 100k concurrent flows.
 //
-// The *arithmetic* is deliberately canonical — ascending (cap, id) order,
-// Kahan-compensated long double prefix sum, residual clamped at zero,
-// rate = min(cap, fair) — i.e. exactly what src/des/bandwidth.cpp::solve()
-// computes incrementally.  Keep the two in lockstep: any intentional
-// change to one side's arithmetic must land on both, or the diff test will
-// (correctly) fail.
+// The allocation rule is the link's — walk caps in ascending order, a flow
+// is cap-bound while its cap fits under the residual's share, the residual
+// is clamped at zero, rate = min(cap, fair) — and so is the completion
+// rule: a flow finishes once its remaining bytes fall to max(1e-6,
+// 1e-12 * size), and a joiner already at or below that completes at its
+// own join timestamp.  The arithmetic differs on purpose: the link sums
+// whole cap classes and integrates one service counter per class, the
+// oracle sums flow by flow (Kahan-compensated long double) and subtracts
+// rate * dt from every flow, so the two agree to rounding, not bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -128,13 +132,21 @@ class ReferenceLink {
       throw std::invalid_argument("ReferenceLink: rate cap must be positive");
     auto done = std::make_shared<des::Event>(sim_);
     advance();
-    Flow f;
-    f.id = next_id_++;
-    f.total = bytes;
-    f.remaining = bytes;
-    f.cap = rate_cap;
-    f.done = done;
-    flows_.push_back(std::move(f));
+    const std::uint64_t id = next_id_++;
+    if (bytes <= completion_eps(bytes)) {
+      // A joiner at or below its completion epsilon completes at its own
+      // timestamp.
+      completed_bytes_ += bytes;
+      done->trigger();
+    } else {
+      Flow f;
+      f.id = id;
+      f.total = bytes;
+      f.remaining = bytes;
+      f.cap = rate_cap;
+      f.done = done;
+      flows_.push_back(std::move(f));
+    }
     recompute();  // naive: every join pays the full water-fill immediately
     reschedule();
     return done;
@@ -163,7 +175,7 @@ class ReferenceLink {
   // Textbook water-fill, from scratch: sort every flow by (cap, id), scan
   // ascending with a Kahan long-double prefix sum, stop at the first cap
   // the running fair share of the residual cannot cover, give everyone
-  // min(cap, fair).  Same canonical arithmetic as the incremental solver.
+  // min(cap, fair).  The link walks the same order one cap class at a time.
   void recompute() {
     scratch_.clear();
     for (std::size_t i = 0; i < flows_.size(); ++i) scratch_.push_back(i);
