@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,20 @@ std::string trim(const std::string& s) {
 std::string lower(std::string s) {
   for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
+}
+
+// The number in front of a size or duration's unit suffix, which goes to
+// *suffix.  strtod consumes nothing from "GB" or "h" (they would read as 0)
+// and accepts "nan"; both are errors.  "inf" stays legal: time_cap = inf
+// means no cap.
+double number_before_suffix(const std::string& text, std::string* suffix) {
+  const std::string s = trim(text);
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || std::isnan(v))
+    throw std::runtime_error("config: no number in '" + text + "'");
+  *suffix = lower(trim(end));
+  return v;
 }
 
 // Strip a trailing comment that is not inside quotes.
@@ -138,7 +153,7 @@ double Config::get_double(const std::string& section, const std::string& key,
   const auto v = get(section, key);
   if (!v) return fallback;
   const auto parsed = parse_double_strict(*v);
-  if (!parsed)
+  if (!parsed || std::isnan(*parsed))
     throw std::runtime_error("config: non-numeric value for " + section + "." +
                              key + ": '" + *v + "'");
   return *parsed;
@@ -155,10 +170,8 @@ bool Config::get_bool(const std::string& section, const std::string& key,
 }
 
 double Config::parse_duration(const std::string& text) {
-  const std::string s = trim(text);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  const std::string suffix = lower(trim(end ? std::string(end) : ""));
+  std::string suffix;
+  const double v = number_before_suffix(text, &suffix);
   if (suffix.empty() || suffix == "s" || suffix == "sec" || suffix == "seconds")
     return v;
   if (suffix == "m" || suffix == "min" || suffix == "minutes") return v * 60.0;
@@ -168,10 +181,8 @@ double Config::parse_duration(const std::string& text) {
 }
 
 double Config::parse_size(const std::string& text) {
-  const std::string s = trim(text);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  const std::string suffix = lower(trim(end ? std::string(end) : ""));
+  std::string suffix;
+  const double v = number_before_suffix(text, &suffix);
   if (suffix.empty() || suffix == "b") return v;
   if (suffix == "kb") return v * 1e3;
   if (suffix == "mb") return v * 1e6;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -329,6 +330,25 @@ TEST(Config, DurationAndSizeParsing) {
   EXPECT_DOUBLE_EQ(lu::Config::parse_size("100MB"), 1e8);
   EXPECT_DOUBLE_EQ(lu::Config::parse_size("1GiB"), 1073741824.0);
   EXPECT_THROW(lu::Config::parse_size("1 furlong"), std::runtime_error);
+}
+
+// A unit with no number, or NaN, is a scenario typo: it must fail the run,
+// not read as 0 (or NaN) and silently reshape it.  inf stays legal.
+TEST(Config, SizesAndDurationsNeedANumber) {
+  EXPECT_THROW(lu::Config::parse_size("GB"), std::runtime_error);
+  EXPECT_THROW(lu::Config::parse_size(""), std::runtime_error);
+  EXPECT_THROW(lu::Config::parse_duration("h"), std::runtime_error);
+  EXPECT_THROW(lu::Config::parse_size("nan"), std::runtime_error);
+  EXPECT_THROW(lu::Config::parse_duration("nan h"), std::runtime_error);
+  const auto cfg = lu::Config::parse(
+      "[workflow]\ninput_per_tasklet = MB\nread_fraction = nan\n"
+      "time_cap = inf\n");
+  EXPECT_THROW((void)cfg.get_size("workflow", "input_per_tasklet"),
+               std::runtime_error);
+  EXPECT_THROW((void)cfg.get_double("workflow", "read_fraction"),
+               std::runtime_error);
+  EXPECT_EQ(cfg.get_duration("workflow", "time_cap"),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(Config, RoundTrip) {
