@@ -1,6 +1,7 @@
 #include "des/bandwidth.hpp"
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace lobster::des {
@@ -81,7 +82,7 @@ std::shared_ptr<Event> BandwidthLink::start_flow(double bytes,
   }
   std::vector<Flow>& heap = heaps_[c->heap];
   heap.push_back(Flow{c->served + bytes, next_id_++, bytes, done});
-  std::push_heap(heap.begin(), heap.end());
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   ++active_;
   request_batch();
   return done;
@@ -96,28 +97,28 @@ void BandwidthLink::advance() {
     std::vector<Flow>& heap = heaps_[c.heap];
     while (!heap.empty() &&
            finished(heap.front().key, heap.front().total, c.served)) {
-      std::pop_heap(heap.begin(), heap.end());
-      finished_.push_back(std::move(heap.back()));
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      popped_.push_back(std::move(heap.back()));
       heap.pop_back();
     }
   }
-  if (finished_.empty()) return;
+  if (popped_.empty()) return;
   std::erase_if(classes_, [this](const Class& c) {
     if (!heaps_[c.heap].empty()) return false;
     free_heaps_.push_back(c.heap);
     return true;
   });
-  active_ -= finished_.size();
-  stats_.flows_popped += finished_.size();
+  active_ -= popped_.size();
+  stats_.flows_popped += popped_.size();
   // Same-instant completions trigger in ascending flow id, whatever their
   // class, so event sequence numbers stay deterministic.
-  std::sort(finished_.begin(), finished_.end(),
+  std::sort(popped_.begin(), popped_.end(),
             [](const Flow& a, const Flow& b) { return a.id < b.id; });
-  for (Flow& f : finished_) {
+  for (Flow& f : popped_) {
     completed_bytes_ += f.total;
     f.done->trigger();
   }
-  finished_.clear();
+  popped_.clear();
 }
 
 void BandwidthLink::solve() {

@@ -142,9 +142,8 @@ class BandwidthLink {
     std::uint64_t id = 0;
     double total = 0.0;
     std::shared_ptr<Event> done;
-    /// std::*_heap keep a max-heap; this order makes it a min-heap on
-    /// (key, id).
-    bool operator<(const Flow& o) const {
+    /// Heap order: with std::greater<>, the earliest (key, id) on top.
+    bool operator>(const Flow& o) const {
       return key != o.key ? key > o.key : id > o.id;
     }
   };
@@ -186,7 +185,7 @@ class BandwidthLink {
   std::vector<Class> classes_;
   std::vector<std::vector<Flow>> heaps_;
   std::vector<std::uint32_t> free_heaps_;
-  std::vector<Flow> finished_;  // advance() scratch
+  std::vector<Flow> popped_;  // advance() scratch
 };
 
 }  // namespace lobster::des
