@@ -7,11 +7,14 @@
 // the numbers are steady-state kernel throughput, not allocator warm-up.
 // The headline event-throughput measurement additionally writes
 // BENCH_micro_des.json (see bench_json.hpp) for the CI perf-regression
-// gate, and the Engine-shaped push pattern writes BENCH_micro_des_engine.json;
-// `--headline-only` runs just those two.
+// gate, the Engine-shaped push pattern writes BENCH_micro_des_engine.json,
+// and the link's flow churn writes BENCH_micro_des_link.json;
+// `--headline-only` runs just those three.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "des/bandwidth.hpp"
@@ -83,6 +86,53 @@ bj::Headline headline_engine_pattern() {
   return best;
 }
 
+des::Process transfer_proc(des::BandwidthLink& link, double bytes) {
+  co_await link.transfer(bytes);
+}
+
+// Link churn: `flows` uncapped transfers of 1-100 MB joining at uniform
+// times over 10 s on a 1 GB/s link — one cap class, hundreds to thousands
+// of flows in flight.
+void schedule_churn(des::Simulation& sim, des::BandwidthLink& link, int flows,
+                    lu::Rng& rng) {
+  for (int i = 0; i < flows; ++i) {
+    const double at = rng.uniform(0.0, 10.0);
+    const double bytes = rng.uniform(1e6, 1e8);
+    sim.schedule(at, [&sim, &link, bytes] {
+      sim.spawn(transfer_proc(link, bytes));
+    });
+  }
+}
+
+// Third headline, the link: the BM_BandwidthFlowChurn/4000 shape, 50
+// seeded simulations per timed region so the region lasts ~0.15 s.  The
+// unit is a completed transfer.
+bj::Headline headline_link_churn() {
+  constexpr int kFlows = 4000;
+  constexpr int kSims = 50;
+  constexpr int kReps = 3;
+  struct Churn {
+    des::Simulation sim;
+    des::BandwidthLink link{sim, 1e9};
+  };
+  bj::Headline best;
+  for (int rep = 0; rep < kReps; ++rep) {
+    lu::Rng rng(7);
+    std::vector<std::unique_ptr<Churn>> runs;
+    for (int i = 0; i < kSims; ++i) {
+      runs.push_back(std::make_unique<Churn>());
+      schedule_churn(runs.back()->sim, runs.back()->link, kFlows, rng);
+    }
+    bj::Stopwatch sw;
+    sw.start();
+    for (const auto& r : runs) r->sim.run();
+    const double wall = sw.stop();
+    if (best.wall_s == 0.0 || wall < best.wall_s)
+      best = {static_cast<double>(kFlows) * kSims, wall};
+  }
+  return best;
+}
+
 }  // namespace
 
 static void BM_EventScheduling(benchmark::State& state) {
@@ -141,12 +191,6 @@ static void BM_ResourceHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceHandoff);
 
-namespace {
-des::Process transfer_proc(des::BandwidthLink& link, double bytes) {
-  co_await link.transfer(bytes);
-}
-}  // namespace
-
 static void BM_BandwidthFlowChurn(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   lu::Rng rng(7);
@@ -154,13 +198,7 @@ static void BM_BandwidthFlowChurn(benchmark::State& state) {
     state.PauseTiming();
     des::Simulation sim;
     des::BandwidthLink link(sim, 1e9);
-    for (int i = 0; i < flows; ++i) {
-      const double at = rng.uniform(0.0, 10.0);
-      const double bytes = rng.uniform(1e6, 1e8);
-      sim.schedule(at, [&sim, &link, bytes] {
-        sim.spawn(transfer_proc(link, bytes));
-      });
-    }
+    schedule_churn(sim, link, flows, rng);
     state.ResumeTiming();
     sim.run();
   }
@@ -173,6 +211,7 @@ int main(int argc, char** argv) {
   bj::strip_headline_flag(&argc, argv);
   bj::write_snapshot("micro_des", headline_event_throughput());
   bj::write_snapshot("micro_des_engine", headline_engine_pattern());
+  bj::write_snapshot("micro_des_link", headline_link_churn());
   if (headline_only) return 0;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
