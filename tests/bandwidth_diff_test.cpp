@@ -41,7 +41,7 @@ constexpr double kUncapped = des::BandwidthLink::kUncapped;
 // resolution (its 1e-6 B completion epsilon) and one microsecond.  At
 // 20 000 schedules per family the widest gaps measured were 4e-13 on
 // completion times, 1.8e-10 of a flow's size on remaining bytes and
-// 1.6e-15 on rates and the allocation.
+// 1.4e-15 on rates and the allocation.
 constexpr double kTol = 1e-9;
 constexpr double kBytesFloor = 1e-6;
 constexpr double kTimeFloor = 1e-6;
