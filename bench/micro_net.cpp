@@ -7,7 +7,7 @@
 // steady population of long transfers, plus waves of same-timestamp joins
 // of small transfers that complete quickly (a dispatch burst followed by
 // its drain).  The naive link pays a full sort + water-fill per event; the
-// incremental link coalesces each burst into one boundary re-solve.  The
+// incremental link coalesces each burst into one solve.  The
 // headline (BENCH_micro_net.json, wired into the CI perf gate) is the
 // incremental link's event throughput at 100k flows; the binary exits
 // non-zero unless the incremental solver beats the full-recompute baseline

@@ -206,7 +206,7 @@ TEST(Properties, LinkAllocationIsMaxMinOptimal) {
 
 // Regression for the solver precision trap: 1e5 flows whose caps are equal
 // to within 1e-9 sum to just past the link capacity, putting the cap-bound
-// boundary at the very tail of the prefix scan where a plain running sum
+// boundary at the very tail of the ascending-cap walk where a plain sum
 // can overshoot the capacity and drive the fair share negative — stalling
 // every uncapped flow.  The long double class sum plus the residual clamp
 // keep the share non-negative and the link fully utilized.
