@@ -77,12 +77,11 @@ class FederationSim {
     /// this long instead of hanging.
     double open_fail_delay = 30.0;
 
-    /// Multi-path topology (200 Gbps data plane).  When `paths` is empty
-    /// the federation behaves exactly as the legacy single shared uplink
-    /// above — bit-identical, no extra links are created.  Otherwise every
-    /// transfer picks a path per `path_policy` and occupies both the
-    /// path's site uplink and its shared WAN trunk; completion waits for
-    /// the slowest hop (fluid series approximation).
+    /// Multi-path topology (200 Gbps data plane).  Every transfer picks a
+    /// path per `path_policy` and occupies both the path's site uplink and
+    /// its shared WAN trunk; completion waits for the slowest hop (fluid
+    /// series approximation).  When `paths` is empty the federation has
+    /// one path of its own: the campus uplink above, with no trunk hop.
     struct Trunk {
       std::string name;
       double rate = 0.0;  // bytes/s
@@ -102,12 +101,11 @@ class FederationSim {
   /// Declare an outage window [start, start+duration): opens fail, and
   /// transfers in flight when the outage begins error out once the network
   /// path unblocks (the TCP streams broke — their tasks lose the work).
-  /// In multi-path mode this is a global event: every site uplink drops.
+  /// A global event: every path's uplink drops.
   void schedule_outage(double start, double duration);
   /// Collapse one site's uplink for [start, start+duration): streams on
-  /// that path break, opens re-route to surviving paths.  Multi-path only.
+  /// that path break, opens re-route to surviving paths.
   void schedule_path_outage(std::size_t path, double start, double duration);
-  bool outage_active() const { return outage_depth_ > 0; }
   bool path_down(std::size_t path) const;
   std::uint64_t outages_started() const { return outage_counter_; }
 
@@ -121,12 +119,13 @@ class FederationSim {
   /// front).  Identical network path; kept separate for accounting.
   des::Task<double> stage(double bytes);
 
-  des::BandwidthLink& uplink() { return uplink_; }
+  /// The first path's uplink: the campus uplink when no paths are set.
+  des::BandwidthLink& uplink() { return path_link(0); }
   [[nodiscard]] double bytes_streamed() const { return bytes_streamed_; }
   [[nodiscard]] double bytes_staged() const { return bytes_staged_; }
   std::uint64_t failed_opens() const { return failed_opens_; }
 
-  // Multi-path accessors (num_paths() == 0 in legacy mode).
+  // Path accessors (num_paths() == 1 when no paths are set).
   [[nodiscard]] std::size_t num_paths() const { return path_links_.size(); }
   des::BandwidthLink& path_link(std::size_t i) { return *path_links_[i]; }
   des::BandwidthLink& trunk_link(std::size_t i) { return *trunk_links_[i]; }
@@ -144,12 +143,16 @@ class FederationSim {
                              util::Gauge* volume);
   /// Choose a path per the configured policy; num_paths() when all down.
   std::size_t pick_path() const;
+  /// The shared WAN trunk path i feeds; nullptr for the campus path.
+  des::BandwidthLink* trunk_of(std::size_t i) const {
+    return trunk_links_.empty() ? nullptr
+                                : trunk_links_[params_.paths[i].trunk].get();
+  }
 
   des::Simulation& sim_;
   Params params_;
-  des::BandwidthLink uplink_;
-  // Multi-path plumbing: one uplink per site path plus the shared trunks
-  // they feed (unique_ptr: BandwidthLink is non-movable).
+  // One uplink per path plus the shared trunks they feed (unique_ptr:
+  // BandwidthLink is non-movable).
   std::vector<std::unique_ptr<des::BandwidthLink>> path_links_;
   std::vector<std::unique_ptr<des::BandwidthLink>> trunk_links_;
   std::vector<int> path_outage_depth_;

@@ -56,6 +56,10 @@ TEST(FederationSim, SingleStreamLimitedByPerStreamRate) {
   p.per_stream_rate = 3.0e7;
   p.open_latency = 1.0;
   xr::FederationSim fed(sim, p);
+  // With no paths configured the campus uplink is the one path.
+  ASSERT_EQ(fed.num_paths(), 1u);
+  EXPECT_EQ(&fed.uplink(), &fed.path_link(0));
+  EXPECT_DOUBLE_EQ(fed.uplink().capacity(), 1.25e9);
   std::vector<double> times;
   int failures = 0;
   sim.spawn(run_stream(sim, fed, 3.0e8, times, failures));
@@ -63,6 +67,7 @@ TEST(FederationSim, SingleStreamLimitedByPerStreamRate) {
   ASSERT_EQ(times.size(), 1u);
   EXPECT_NEAR(times[0], 1.0 + 10.0, 1e-9);  // open + 300MB at 30MB/s
   EXPECT_DOUBLE_EQ(fed.bytes_streamed(), 3.0e8);
+  EXPECT_DOUBLE_EQ(fed.path_bytes(0), 3.0e8);
 }
 
 TEST(FederationSim, ManyStreamsSaturateCampusUplink) {
