@@ -39,31 +39,6 @@ double AlwaysAvailable::expected_lifetime(double) const {
   return std::numeric_limits<double>::infinity();
 }
 
-// ---- WeibullAvailability ---------------------------------------------------
-
-namespace {
-std::vector<double> checked_weibull_log(util::Rng log_stream, double shape,
-                                        double scale_hours) {
-  if (shape <= 0.0 || scale_hours <= 0.0)
-    bad_spec("weibull shape and scale must be > 0");
-  return core::synthesize_availability_log(50000, std::move(log_stream),
-                                           shape, scale_hours);
-}
-}  // namespace
-
-WeibullAvailability::WeibullAvailability(util::Rng log_stream, double shape,
-                                         double scale_hours)
-    : dist_(checked_weibull_log(std::move(log_stream), shape, scale_hours)) {}
-
-double WeibullAvailability::sample_survival_at(util::Rng& rng, double,
-                                               std::uint64_t) const {
-  return dist_.sample(rng);
-}
-
-double WeibullAvailability::expected_lifetime(double) const {
-  return dist_.mean();
-}
-
 // ---- TraceAvailability -----------------------------------------------------
 
 TraceAvailability::TraceAvailability(
@@ -91,9 +66,9 @@ double TraceAvailability::sample_survival(util::Rng& rng) const {
 
 double TraceAvailability::expected_lifetime(double) const { return mean_; }
 
-// ---- DiurnalAvailability ---------------------------------------------------
+// ---- WeibullAvailability ---------------------------------------------------
 
-DiurnalAvailability::DiurnalAvailability(double shape, double scale_hours,
+WeibullAvailability::WeibullAvailability(double shape, double scale_hours,
                                          double amplitude, double peak_hour)
     : shape_(shape),
       scale_seconds_(scale_hours * 3600.0),
@@ -101,26 +76,27 @@ DiurnalAvailability::DiurnalAvailability(double shape, double scale_hours,
       peak_hour_(peak_hour),
       mean_factor_(std::tgamma(1.0 + 1.0 / shape)) {
   if (shape <= 0.0 || scale_hours <= 0.0)
-    bad_spec("diurnal shape and scale must be > 0");
+    bad_spec("weibull shape and scale must be > 0");
   if (amplitude < 0.0 || amplitude >= 1.0)
     bad_spec("diurnal amplitude must be in [0, 1)");
   if (peak_hour < 0.0 || peak_hour >= 24.0)
     bad_spec("diurnal peak hour must be in [0, 24)");
 }
 
-double DiurnalAvailability::scale_at(double now) const {
-  // cos(theta) = 1 at the peak hour: the scale bottoms out there.
+double WeibullAvailability::scale_at(double now) const {
+  // cos(theta) = 1 at the peak hour: the scale bottoms out there.  At
+  // amplitude 0 the product is exactly 0, so the scale is constant.
   const double theta =
       2.0 * M_PI * (now / kDaySeconds - peak_hour_ / 24.0);
   return scale_seconds_ * (1.0 - amplitude_ * std::cos(theta));
 }
 
-double DiurnalAvailability::sample_survival_at(util::Rng& rng, double now,
+double WeibullAvailability::sample_survival_at(util::Rng& rng, double now,
                                                std::uint64_t) const {
   return rng.weibull(shape_, scale_at(now));
 }
 
-double DiurnalAvailability::expected_lifetime(double now) const {
+double WeibullAvailability::expected_lifetime(double now) const {
   return scale_at(now) * mean_factor_;
 }
 
@@ -163,11 +139,11 @@ double AdversarialBurstAvailability::expected_lifetime(double now) const {
 // ---- factory / parsing -----------------------------------------------------
 
 std::unique_ptr<AvailabilityModel> make_availability_model(
-    const AvailabilityConfig& config, const util::Rng& log_stream) {
+    const AvailabilityConfig& config) {
   switch (config.kind) {
     case AvailabilityKind::Weibull:
-      return std::make_unique<WeibullAvailability>(
-          log_stream, config.shape, config.scale_hours);
+      return std::make_unique<WeibullAvailability>(config.shape,
+                                                   config.scale_hours);
     case AvailabilityKind::Trace: {
       auto intervals = config.trace;
       if (!intervals) {
@@ -179,7 +155,7 @@ std::unique_ptr<AvailabilityModel> make_availability_model(
       return std::make_unique<TraceAvailability>(std::move(intervals));
     }
     case AvailabilityKind::Diurnal:
-      return std::make_unique<DiurnalAvailability>(
+      return std::make_unique<WeibullAvailability>(
           config.shape, config.scale_hours, config.diurnal_amplitude,
           config.diurnal_peak_hour);
     case AvailabilityKind::AdversarialBurst:

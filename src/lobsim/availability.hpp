@@ -4,19 +4,18 @@
 // availability is empirically measured and highly variable (§3, Figure 2).
 // Which climate a site lives under changes the optimal task-sizing answer
 // (the Figure 3 trade-off), so the climate is a pluggable layer like the
-// DispatchPolicy and MergePlanner: one interface, four implementations,
-// one factory, selectable from a scenario INI (`availability = ...`).
+// DispatchPolicy and MergePlanner: one interface, four climates, one
+// factory, selectable from a scenario INI (`availability = ...`).
 //
-//   weibull           — the synthesized empirical log the engine has always
-//                       used: 50k Weibull(shape, scale) lifetimes replayed
-//                       through an inverse-CDF draw (bit-for-bit the legacy
-//                       behaviour);
+//   weibull           — stationary Weibull(shape, scale) lifetimes drawn in
+//                       closed form: the Figure 2 calibration;
 //   trace             — replay a real eviction-interval log (e.g. parsed
 //                       from HTCondor logs) loaded from a CSV, cycling with
 //                       per-worker phase offsets;
 //   diurnal           — day/night sinusoidal modulation of the Weibull
 //                       scale over simulated time (campus machines are
 //                       reclaimed by interactive users during the day);
+//                       `weibull` is its amplitude-0 case, one class;
 //   adversarial-burst — correlated mass-eviction events on a fixed period,
 //                       the worst case for merge-group loss.
 //
@@ -95,22 +94,6 @@ class AlwaysAvailable final : public AvailabilityModel {
   const char* name() const override { return "none"; }
 };
 
-/// The legacy climate: a synthesized 50k-lifetime Weibull availability log
-/// replayed through an empirical inverse-CDF draw, exactly as SiteManager
-/// has always done it (bit-for-bit, given the same log stream).
-class WeibullAvailability final : public AvailabilityModel {
- public:
-  WeibullAvailability(util::Rng log_stream, double shape, double scale_hours);
-  double sample_survival_at(util::Rng& rng, double now,
-                            std::uint64_t phase) const override;
-  double expected_lifetime(double now) const override;
-  const char* name() const override { return "weibull"; }
-  const util::EmpiricalDistribution& distribution() const { return dist_; }
-
- private:
-  util::EmpiricalDistribution dist_;
-};
-
 /// Replay of a recorded eviction-interval log.  Worker w's incarnation k
 /// reads entry (phase_w + k) mod n — a cycling replay with per-worker
 /// phase offsets, so the whole log is covered without two workers marching
@@ -132,18 +115,21 @@ class TraceAvailability final : public AvailabilityModel {
   double mean_ = 0.0;
 };
 
-/// Day/night climate: Weibull survival whose scale is modulated
-/// sinusoidally over the simulated day.  At `peak_hour` the scale bottoms
-/// out (interactive users reclaim their machines); twelve hours later the
-/// pool is calmest.
-class DiurnalAvailability final : public AvailabilityModel {
+/// Weibull survival drawn in closed form, its scale optionally modulated
+/// sinusoidally over the simulated day.  Amplitude 0 is the stationary
+/// `weibull` climate.  Otherwise it is `diurnal`: at `peak_hour` the scale
+/// bottoms out (interactive users reclaim their machines); twelve hours
+/// later the pool is calmest.
+class WeibullAvailability final : public AvailabilityModel {
  public:
-  DiurnalAvailability(double shape, double scale_hours, double amplitude,
-                      double peak_hour);
+  WeibullAvailability(double shape, double scale_hours,
+                      double amplitude = 0.0, double peak_hour = 0.0);
   double sample_survival_at(util::Rng& rng, double now,
                             std::uint64_t phase) const override;
   double expected_lifetime(double now) const override;
-  const char* name() const override { return "diurnal"; }
+  const char* name() const override {
+    return amplitude_ > 0.0 ? "diurnal" : "weibull";
+  }
   /// The modulated scale (seconds) at simulated time `now`.
   double scale_at(double now) const;
 
@@ -179,13 +165,12 @@ class AdversarialBurstAvailability final : public AvailabilityModel {
   double mean_factor_;
 };
 
-/// Build a model from its config.  `log_stream` seeds the synthesized
-/// Weibull log (the legacy `rng.stream("availability", site)` stream, so
-/// `weibull` reproduces the pre-refactor engine bit-for-bit); the other
-/// models ignore it.  Throws std::invalid_argument on bad parameters or an
-/// unreadable/empty trace.
+/// Build a model from its config: `weibull` and `diurnal` share
+/// WeibullAvailability (amplitude 0 for `weibull`).  Models hold no RNG
+/// state; every draw comes from the worker's own stream.  Throws
+/// std::invalid_argument on bad parameters or an unreadable/empty trace.
 std::unique_ptr<AvailabilityModel> make_availability_model(
-    const AvailabilityConfig& config, const util::Rng& log_stream);
+    const AvailabilityConfig& config);
 
 /// Parse the scenario-INI / CLI spec syntax:
 ///

@@ -35,15 +35,10 @@ SiteManager::SiteManager(des::Simulation& sim, const ClusterParams& cluster,
         std::make_unique<xrootd::FederationSim>(sim_, p.federation);
     for (std::size_t q = 0; q < p.num_squids; ++q)
       site.squids.push_back(std::make_unique<cvmfs::SquidSim>(sim_, p.squid));
-    if (p.evictions) {
-      // The "availability" stream name and per-site index are load-bearing:
-      // they are what the engine used before the model became pluggable, so
-      // the weibull model reproduces the old runs bit-for-bit.
-      site.availability = make_availability_model(
-          p.availability, rng_.stream("availability", i));
-    } else {
+    if (p.evictions)
+      site.availability = make_availability_model(p.availability);
+    else
       site.availability = std::make_unique<AlwaysAvailable>();
-    }
     sites_.push_back(std::move(site));
   }
   total_slots_ = 0;
@@ -66,8 +61,8 @@ SiteManager::SiteManager(des::Simulation& sim, const ClusterParams& cluster,
       node.site = i;
       node.rng = rng_.stream("node." + std::to_string(i), w);
       // Scatter trace-replay phases without consuming the node's RNG
-      // stream (which must keep matching the legacy draw sequence
-      // bit-for-bit).
+      // stream, so a climate's survival draws do not depend on whether
+      // trace replay is in use.
       std::uint64_t phase_state =
           (static_cast<std::uint64_t>(i) << 32) ^ w;
       node.avail_phase = util::splitmix64(phase_state);

@@ -1,7 +1,7 @@
 // Tests for the pluggable availability models: spec parsing, trace CSV
-// loading, the bit-for-bit equivalence of the weibull model with the legacy
-// empirical-log draw, trace replay phase arithmetic, diurnal modulation and
-// burst correlation, and the expected_lifetime() query every model exposes.
+// loading, trace replay phase arithmetic, diurnal modulation (and the
+// stationary weibull climate as its amplitude-0 case), burst correlation,
+// and the expected_lifetime() query every model exposes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/task_size_model.hpp"
 #include "lobsim/availability.hpp"
 #include "util/rng.hpp"
 
@@ -138,39 +137,11 @@ TEST(TraceCsv, RejectsBadInput) {
   std::remove(negative.c_str());
 }
 
-// ---- weibull: bit-for-bit with the legacy draw -----------------------------
-
-TEST(WeibullAvailabilityTest, MatchesLegacyEmpiricalDrawBitForBit) {
-  // The pre-refactor SiteManager synthesized a 50k-lifetime log from the
-  // site's "availability" stream and drew via inverse CDF from the worker's
-  // stream.  The weibull model must reproduce that draw sequence exactly.
-  util::Rng root(2015);
-  const core::EmpiricalEviction legacy(util::EmpiricalDistribution(
-      core::synthesize_availability_log(50000, root.stream("availability", 0),
-                                        0.8, 4.0)));
-  const WeibullAvailability model(root.stream("availability", 0), 0.8, 4.0);
-
-  util::Rng worker_a = root.stream("node.campus", 3);
-  util::Rng worker_b = root.stream("node.campus", 3);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(model.sample_survival(worker_a),
-              legacy.sample_survival(worker_b));
-  }
-  // The clocked entry point ignores now/phase: same stream, same draws.
-  util::Rng worker_c = root.stream("node.campus", 3);
-  util::Rng worker_d = root.stream("node.campus", 3);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(model.sample_survival_at(worker_c, 1e6 * i, 17u),
-              model.sample_survival_at(worker_d, 0.0, 0u));
-  }
-  EXPECT_GT(model.expected_lifetime(0.0), 0.0);
-  EXPECT_EQ(model.expected_lifetime(0.0), model.distribution().mean());
-}
+// ---- weibull ---------------------------------------------------------------
 
 TEST(WeibullAvailabilityTest, RejectsBadParameters) {
-  util::Rng rng(1);
-  EXPECT_THROW(WeibullAvailability(rng, 0.0, 4.0), std::invalid_argument);
-  EXPECT_THROW(WeibullAvailability(rng, 0.8, -1.0), std::invalid_argument);
+  EXPECT_THROW(WeibullAvailability(0.0, 4.0), std::invalid_argument);
+  EXPECT_THROW(WeibullAvailability(0.8, -1.0), std::invalid_argument);
 }
 
 // ---- trace replay ----------------------------------------------------------
@@ -221,7 +192,7 @@ TEST(TraceAvailabilityTest, RejectsEmptyOrNonPositive) {
 // ---- diurnal modulation ----------------------------------------------------
 
 TEST(DiurnalAvailabilityTest, ScaleBottomsOutAtPeakHour) {
-  const DiurnalAvailability model(0.8, 4.0, 0.6, 14.0);
+  const WeibullAvailability model(0.8, 4.0, 0.6, 14.0);
   const double base = 4.0 * 3600.0;
   const double at_peak = model.scale_at(14.0 * 3600.0);
   const double at_trough = model.scale_at(2.0 * 3600.0);  // 12 h later
@@ -238,23 +209,44 @@ TEST(DiurnalAvailabilityTest, ScaleBottomsOutAtPeakHour) {
 }
 
 TEST(DiurnalAvailabilityTest, ZeroAmplitudeIsTimeInvariant) {
-  const DiurnalAvailability model(0.8, 4.0, 0.0, 14.0);
+  const WeibullAvailability model(0.8, 4.0, 0.0, 14.0);
   for (double t : {0.0, 3600.0, 50400.0, 200000.0})
     EXPECT_DOUBLE_EQ(model.scale_at(t), 4.0 * 3600.0);
   // Same stream, same instant: identical draw (determinism).
   util::Rng a(5), b(5);
   EXPECT_EQ(model.sample_survival_at(a, 7200.0, 0),
             model.sample_survival_at(b, 7200.0, 9));
+
+  // The stationary weibull climate is this amplitude-0 case: through the
+  // factory both specs draw the same survival sequence from the same
+  // stream, each draw is one Rng::weibull call, and both report the
+  // closed-form mean scale * Gamma(1 + 1/shape) at any hour.
+  const auto weibull =
+      make_availability_model(parse_availability_spec("weibull"));
+  const auto flat =
+      make_availability_model(parse_availability_spec("diurnal:amplitude=0"));
+  util::Rng wa(2015), wb(2015), ref(2015);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const double now = 97.0 * static_cast<double>(i);
+    const double draw = weibull->sample_survival_at(wa, now, i);
+    EXPECT_EQ(draw, flat->sample_survival_at(wb, now, i));
+    EXPECT_EQ(draw, ref.weibull(0.8, 4.0 * 3600.0));
+  }
+  const double mean = 4.0 * 3600.0 * std::tgamma(1.0 + 1.0 / 0.8);
+  for (double t : {0.0, 50400.0, 200000.0}) {
+    EXPECT_DOUBLE_EQ(weibull->expected_lifetime(t), mean);
+    EXPECT_DOUBLE_EQ(flat->expected_lifetime(t), mean);
+  }
 }
 
 TEST(DiurnalAvailabilityTest, RejectsBadParameters) {
-  EXPECT_THROW(DiurnalAvailability(0.8, 4.0, 1.0, 14.0),
+  EXPECT_THROW(WeibullAvailability(0.8, 4.0, 1.0, 14.0),
                std::invalid_argument);
-  EXPECT_THROW(DiurnalAvailability(0.8, 4.0, -0.1, 14.0),
+  EXPECT_THROW(WeibullAvailability(0.8, 4.0, -0.1, 14.0),
                std::invalid_argument);
-  EXPECT_THROW(DiurnalAvailability(0.8, 4.0, 0.6, 24.0),
+  EXPECT_THROW(WeibullAvailability(0.8, 4.0, 0.6, 24.0),
                std::invalid_argument);
-  EXPECT_THROW(DiurnalAvailability(0.0, 4.0, 0.6, 14.0),
+  EXPECT_THROW(WeibullAvailability(0.0, 4.0, 0.6, 14.0),
                std::invalid_argument);
 }
 
@@ -311,12 +303,11 @@ TEST(AdversarialBurstTest, ExpectedLifetimeBlendsBurstAndBase) {
 // ---- factory ---------------------------------------------------------------
 
 TEST(AvailabilityFactory, BuildsEveryKind) {
-  util::Rng root(2015);
   AvailabilityConfig cfg;
   for (auto kind : {AvailabilityKind::Weibull, AvailabilityKind::Diurnal,
                     AvailabilityKind::AdversarialBurst}) {
     cfg.kind = kind;
-    const auto model = make_availability_model(cfg, root.stream("a", 0));
+    const auto model = make_availability_model(cfg);
     ASSERT_NE(model, nullptr);
     EXPECT_STREQ(model->name(), to_string(kind));
     EXPECT_GT(model->expected_lifetime(0.0), 0.0);
@@ -324,7 +315,7 @@ TEST(AvailabilityFactory, BuildsEveryKind) {
   cfg.kind = AvailabilityKind::Trace;
   cfg.trace = std::make_shared<const std::vector<double>>(
       std::vector<double>{60.0, 120.0});
-  const auto trace = make_availability_model(cfg, root.stream("a", 0));
+  const auto trace = make_availability_model(cfg);
   EXPECT_STREQ(trace->name(), "trace");
   EXPECT_DOUBLE_EQ(trace->expected_lifetime(0.0), 90.0);
 }
@@ -334,13 +325,13 @@ TEST(AvailabilityFactory, TraceLoadsCsvWhenNotPreloaded) {
   AvailabilityConfig cfg;
   cfg.kind = AvailabilityKind::Trace;
   cfg.trace_path = path;
-  const auto model = make_availability_model(cfg, util::Rng(1));
+  const auto model = make_availability_model(cfg);
   EXPECT_DOUBLE_EQ(model->expected_lifetime(0.0), 900.0);
   std::remove(path.c_str());
 
   AvailabilityConfig missing;
   missing.kind = AvailabilityKind::Trace;
-  EXPECT_THROW(make_availability_model(missing, util::Rng(1)),
+  EXPECT_THROW(make_availability_model(missing),
                std::invalid_argument);
 }
 

@@ -186,5 +186,24 @@ TEST(GoldenMetrics, AvailabilityCampaignMatchesSnapshot) {
            "LOBSTER_UPDATE_GOLDEN=1 and commit the new golden file";
 }
 
+// The stationary weibull climate is the amplitude-0 diurnal climate, so the
+// whole engine run must agree, not just the draws.
+TEST(GoldenMetrics, WeibullRunEqualsZeroAmplitudeDiurnal) {
+  Campaign campaign(2);
+  RunSpec flat = golden_spec(AvailabilityKind::Diurnal);
+  flat.cluster.availability.diurnal_amplitude = 0.0;
+  campaign.add_seed_sweep(golden_spec(AvailabilityKind::Weibull),
+                          {2015, 2016});
+  campaign.add_seed_sweep(flat, {2015, 2016});
+  campaign.run();
+  const auto& r = campaign.results();
+  ASSERT_EQ(r.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(r[i].ok() && r[i + 2].ok());
+    EXPECT_GT(r[i].stats.tasks_evicted, 0u);
+    EXPECT_TRUE(r[i].stats == r[i + 2].stats) << "seed " << r[i].seed;
+  }
+}
+
 }  // namespace
 }  // namespace lobster::lobsim
