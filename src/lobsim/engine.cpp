@@ -173,7 +173,8 @@ const EngineMetrics& Engine::run(double time_cap) {
                       running_tasks_,
                       static_cast<unsigned long long>(
                           dispatch_->tasklets_pending()),
-                      static_cast<unsigned long long>(tasklets_done_),
+                      static_cast<unsigned long long>(
+                          metrics_->tasklets_processed),
                       dispatch_->merge_backlog(), done_ ? 1 : 0);
   }
   metrics_->makespan =
@@ -643,7 +644,6 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     record.status = core::TaskStatus::Failed;
     ++metrics_->tasks_failed;
     ctr_tasks_failed_->add();
-    metrics_->failures.add(now);
     metrics_->failure_events.emplace_back(now, record.exit_code);
     sim_.tracer().instant("lobsim", "task_failed", 0,
                           {{"exit", static_cast<double>(record.exit_code)}});
@@ -667,7 +667,6 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
       ctr_tasks_completed_->add();
       metrics_->analysis_done.add(now);
       metrics_->last_analysis_finish = now;
-      tasklets_done_ += task.n_tasklets;
       metrics_->tasklets_processed += task.n_tasklets;
       ctr_tasklets_processed_->add(task.n_tasklets);
       per_site_tasklets_[site] += task.n_tasklets;
@@ -682,7 +681,8 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     }
   }
 
-  auto plan = planner_->plan(tasklets_done_, workload_.num_tasklets,
+  auto plan = planner_->plan(metrics_->tasklets_processed,
+                             workload_.num_tasklets,
                              analysis_complete());
   for (double group_bytes : plan.groups) {
     dispatch_->push_merge_group(group_bytes);
@@ -736,7 +736,7 @@ des::Process Engine::hadoop_merge() {
 }
 
 bool Engine::analysis_complete() const {
-  return tasklets_done_ >= workload_.num_tasklets &&
+  return metrics_->tasklets_processed >= workload_.num_tasklets &&
          dispatch_->tasklets_pending() == 0;
 }
 

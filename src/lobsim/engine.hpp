@@ -92,7 +92,6 @@ struct WorkloadParams {
   /// tasklets (0 = 2x tasklets_per_task).
   double steal_penalty_factor = 0.5;
   std::uint64_t steal_min_backlog = 0;
-  std::uint32_t max_attempts = 50;
 
   core::MergeMode merge_mode = core::MergeMode::Interleaved;
   core::MergePolicy merge_policy;
@@ -164,13 +163,11 @@ struct EngineMetrics : RunStats {
   explicit EngineMetrics(double bin_seconds)
       : monitor(bin_seconds),
         analysis_done(0.0, bin_seconds),
-        merge_done(0.0, bin_seconds),
-        failures(0.0, bin_seconds) {}
+        merge_done(0.0, bin_seconds) {}
 
   core::Monitor monitor;
   util::TimeSeries analysis_done;
   util::TimeSeries merge_done;
-  util::TimeSeries failures;
   /// (time, exit code) of every failed task — Figure 11 bottom panel.
   std::vector<std::pair<double, int>> failure_events;
 };
@@ -309,7 +306,6 @@ class Engine {
   std::vector<std::size_t> site_running_;
 
   // ---- workload state ----
-  std::uint64_t tasklets_done_ = 0;
   std::size_t running_tasks_ = 0;
   std::size_t running_merges_ = 0;
   bool hadoop_started_ = false;
