@@ -27,11 +27,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 
+#include "bench_flags.hpp"
 #include "bench_json.hpp"
 #include "lobsim/campaign.hpp"
 #include "lobsim/scenarios.hpp"
@@ -144,44 +143,16 @@ int run_advisor_gate(lobster::lobsim::SimulationRunScenario s,
 int main(int argc, char** argv) {
   using namespace lobster;
 
-  bool advisor_gate = false;
-  std::size_t cores = 0;
-  std::uint64_t tasklets = 0;
-  std::string trace_prefix;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--advisor-gate")
-      advisor_gate = true;
-    else if (arg == "--cores")
-      cores = std::strtoull(value("--cores"), nullptr, 10);
-    else if (arg == "--tasklets")
-      tasklets = std::strtoull(value("--tasklets"), nullptr, 10);
-    else if (arg == "--trace-prefix")
-      trace_prefix = value("--trace-prefix");
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--advisor-gate] [--cores N] [--tasklets N] "
-                   "[--trace-prefix P]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const auto flags = benchflags::parse_timeline_flags(argc, argv);
 
   auto s = lobsim::simulation_run_scenario();
-  if (cores > 0) {
+  if (flags.cores > 0) {
     // Scale the shared bottlenecks with the core count so a smaller run
     // hits the same cold-cache squid overload; the connect timeout stays
     // fixed so the exit-174 trickle persists at the smaller scale.
-    const double f = static_cast<double>(cores) /
+    const double f = static_cast<double>(flags.cores) /
                      static_cast<double>(s.cluster.target_cores);
-    s.cluster.target_cores = cores;
+    s.cluster.target_cores = flags.cores;
     s.cluster.federation.campus_uplink_rate *= f;
     s.cluster.squid.service_rate *= f;
     s.cluster.squid.upstream_rate *= f;
@@ -190,9 +161,10 @@ int main(int argc, char** argv) {
                 static_cast<double>(s.cluster.squid.max_connections) * f));
     s.cluster.chirp.nic_rate *= f;
   }
-  if (tasklets > 0) s.workload.num_tasklets = tasklets;
+  if (flags.tasklets > 0) s.workload.num_tasklets = flags.tasklets;
 
-  if (advisor_gate) return run_advisor_gate(std::move(s), trace_prefix);
+  if (flags.advisor_gate)
+    return run_advisor_gate(std::move(s), flags.trace_prefix);
 
   std::puts("=== Figure 11: Timeline of the Simulation (MC) Run ===");
 

@@ -24,11 +24,11 @@
 //
 // Usage: fig14_multi_site [--mode classic|stealing] [--tasklets N]
 //                         [--scale F] [--seed S]
-//   --tasklets 8000 --scale 0.25   is the CI smoke configuration.
+//   --tasklets 4000 --scale 0.1   is the CI smoke configuration.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "bench_flags.hpp"
 #include "lobsim/engine.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -248,25 +248,23 @@ int main(int argc, char** argv) {
   std::uint64_t tasklets = 30000;
   double scale = 1.0;
   std::uint64_t seed = 2015;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--mode" && i + 1 < argc)
-      mode = argv[++i];
-    else if (arg == "--tasklets" && i + 1 < argc)
-      tasklets = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (arg == "--scale" && i + 1 < argc)
-      scale = std::atof(argv[++i]);
-    else if (arg == "--seed" && i + 1 < argc)
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else {
-      std::fprintf(stderr,
-                   "usage: fig14_multi_site [--mode classic|stealing] "
-                   "[--tasklets N] [--scale F] [--seed S]\n");
-      return 2;
-    }
+  benchflags::Args args(argc, argv,
+                        "[--mode classic|stealing] [--tasklets N] "
+                        "[--scale F] [--seed S]");
+  while (args.next()) {
+    const std::string flag = args.flag();
+    if (flag == "--mode")
+      mode = args.text();
+    else if (flag == "--tasklets")
+      tasklets = static_cast<std::uint64_t>(args.integer(1));
+    else if (flag == "--scale")
+      scale = args.positive();
+    else if (flag == "--seed")
+      seed = static_cast<std::uint64_t>(args.integer(0));
+    else
+      args.usage();
   }
   if (mode == "classic") return run_classic();
   if (mode == "stealing") return run_stealing(tasklets, scale, seed);
-  std::fprintf(stderr, "fig14: unknown mode '%s'\n", mode.c_str());
-  return 2;
+  args.usage("unknown mode '" + mode + "'");
 }

@@ -19,12 +19,13 @@
 // Writes BENCH_fig15_global_pool_live.json (kernel events/s over the live
 // run) for the perf-gate trajectory.  Exit code 1 when the live-vs-model
 // deviation exceeds 5%.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "bench_json.hpp"
 #include "lobsim/global_pool.hpp"
 #include "util/rng.hpp"
@@ -37,29 +38,26 @@ namespace {
 
 struct Options {
   double cores = 110000.0;
-  int users = 400;
+  std::size_t users = 400;
   double tasklet_seconds = 3600.0;
 };
 
+constexpr const char* kUsage =
+    "[--cores N] [--users N] [--tasklet-seconds S]";
+
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](double fallback) {
-      return i + 1 < argc ? std::atof(argv[++i]) : fallback;
-    };
-    if (arg == "--cores")
-      o.cores = value(o.cores);
-    else if (arg == "--users")
-      o.users = static_cast<int>(value(o.users));
-    else if (arg == "--tasklet-seconds")
-      o.tasklet_seconds = value(o.tasklet_seconds);
-    else {
-      std::fprintf(stderr,
-                   "usage: fig15_global_pool_live [--cores N] [--users N] "
-                   "[--tasklet-seconds S]\n");
-      std::exit(2);
-    }
+  benchflags::Args args(argc, argv, kUsage);
+  while (args.next()) {
+    const std::string flag = args.flag();
+    if (flag == "--cores")
+      o.cores = args.positive();
+    else if (flag == "--users")
+      o.users = static_cast<std::size_t>(args.integer(0));
+    else if (flag == "--tasklet-seconds")
+      o.tasklet_seconds = args.positive();
+    else
+      args.usage();
   }
   return o;
 }
@@ -68,11 +66,7 @@ double pct_dev(double live, double model) {
   return model > 0.0 ? 100.0 * (live - model) / model : 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
-
+int run(const Options& opt) {
   std::puts("=== Global Pool, live DES run vs closed-form fluid model ===\n");
 
   // The same population fig13 builds: `users` backlogged analyses with
@@ -82,7 +76,7 @@ int main(int argc, char** argv) {
   const double scale = opt.cores / 110000.0;
   util::Rng rng(2015);
   std::vector<lobsim::PoolUser> users;
-  for (int u = 0; u < opt.users; ++u) {
+  for (std::size_t u = 0; u < opt.users; ++u) {
     lobsim::PoolUser user;
     user.name = "analyst-" + std::to_string(u);
     user.submit_time = 0.0;
@@ -156,4 +150,16 @@ int main(int argc, char** argv) {
   std::puts("granularity; the calendar-queue kernel sustains the 110k-core");
   std::puts("live run in seconds of wall time.");
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options opt = parse(argc, argv);
+  try {
+    return run(opt);
+  } catch (const std::invalid_argument& e) {
+    // A pool the model cannot run (e.g. under one core).
+    benchflags::usage(argv[0], kUsage, e.what());
+  }
 }

@@ -19,9 +19,10 @@
 //   --sites 8 --target-gbps 50   is the CI smoke configuration.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "bench_flags.hpp"
 #include "lobsim/scenarios.hpp"
 #include "util/table.hpp"
 
@@ -34,41 +35,36 @@ struct Options {
   std::string mode = "ramp";
 };
 
+constexpr const char* kUsage =
+    "[--sites N] [--trunks N] [--target-gbps G] [--phases N] "
+    "[--phase-seconds S] [--mode ramp|hotspot|collapse]";
+
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](double fallback) {
-      return i + 1 < argc ? std::atof(argv[++i]) : fallback;
-    };
-    if (arg == "--sites")
-      o.ramp.sites = static_cast<std::size_t>(value(16));
-    else if (arg == "--trunks")
-      o.ramp.trunks = static_cast<std::size_t>(value(4));
-    else if (arg == "--target-gbps")
-      o.ramp.target_gbps = value(200.0);
-    else if (arg == "--phases")
-      o.ramp.phases = static_cast<std::size_t>(value(8));
-    else if (arg == "--phase-seconds")
-      o.ramp.phase_seconds = value(120.0);
-    else if (arg == "--mode" && i + 1 < argc)
-      o.mode = argv[++i];
-    else {
-      std::fprintf(stderr,
-                   "usage: fig16_200gbps_ramp [--sites N] [--trunks N] "
-                   "[--target-gbps G] [--phases N] [--phase-seconds S] "
-                   "[--mode ramp|hotspot|collapse]\n");
-      std::exit(2);
-    }
+  benchflags::Args args(argc, argv, kUsage);
+  while (args.next()) {
+    const std::string flag = args.flag();
+    if (flag == "--sites")
+      o.ramp.sites = static_cast<std::size_t>(args.integer(1));
+    else if (flag == "--trunks")
+      o.ramp.trunks = static_cast<std::size_t>(args.integer(1));
+    else if (flag == "--target-gbps")
+      o.ramp.target_gbps = args.positive();
+    else if (flag == "--phases")
+      o.ramp.phases = static_cast<std::size_t>(args.integer(1));
+    else if (flag == "--phase-seconds")
+      o.ramp.phase_seconds = args.positive();
+    else if (flag == "--mode")
+      o.mode = args.text();
+    else
+      args.usage();
   }
   if (o.mode == "hotspot")
     o.ramp.policy = xrootd::PathPolicy::FirstAvailable;
   else if (o.mode == "collapse")
     o.ramp.uplink_collapse = true;
-  else if (o.mode != "ramp") {
-    std::fprintf(stderr, "fig16: unknown mode '%s'\n", o.mode.c_str());
-    std::exit(2);
-  }
+  else if (o.mode != "ramp")
+    args.usage("unknown mode '" + o.mode + "'");
   return o;
 }
 
@@ -83,6 +79,13 @@ std::string gbps(double v) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   const auto& ro = opt.ramp;
+  lobsim::RampResult r;
+  try {
+    r = lobsim::run_200gbps_ramp(ro);
+  } catch (const std::invalid_argument& e) {
+    benchflags::usage(argv[0], kUsage, e.what());
+  }
+
   std::printf(
       "=== Figure 16: 200 Gbps data plane (%s mode), ramp to %.0f Gbit/s "
       "===\n"
@@ -94,8 +97,6 @@ int main(int argc, char** argv) {
       ro.target_gbps / static_cast<double>(std::min(ro.trunks, ro.sites)),
       ro.policy == xrootd::PathPolicy::LeastLoaded ? "least-loaded"
                                                    : "first-available");
-
-  const lobsim::RampResult r = lobsim::run_200gbps_ramp(ro);
 
   util::Table table({"phase", "offered Gb/s", "achieved Gb/s", "site min",
                      "site max", "broken", "failed opens"});
