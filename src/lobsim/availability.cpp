@@ -84,8 +84,10 @@ WeibullAvailability::WeibullAvailability(double shape, double scale_hours,
 }
 
 double WeibullAvailability::scale_at(double now) const {
-  // cos(theta) = 1 at the peak hour: the scale bottoms out there.  At
-  // amplitude 0 the product is exactly 0, so the scale is constant.
+  // The stationary climate skips the cosine: expected_lifetime() is asked
+  // at every task pull.
+  if (amplitude_ == 0.0) return scale_seconds_;
+  // cos(theta) = 1 at the peak hour: the scale bottoms out there.
   const double theta =
       2.0 * M_PI * (now / kDaySeconds - peak_hour_ / 24.0);
   return scale_seconds_ * (1.0 - amplitude_ * std::cos(theta));
