@@ -128,11 +128,13 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.str().c_str(), stdout);
 
-  std::puts("\nReading: the weibull and trace columns agree closely (the");
-  std::puts("trace *is* a weibull log, replayed); the diurnal climate trades");
-  std::puts("calm nights for brutal afternoons at the same mean; the");
-  std::puts("2-hourly preemption waves are the harshest — deaths synchronize");
-  std::puts("on the burst instants, so co-scheduled tasks (and planned merge");
-  std::puts("groups) die together and goodput drops the most.");
+  std::puts("\nReading (a few seeds scatter by +/-60 evictions per run; use");
+  std::puts("--seeds 300 to compare climates): weibull and trace agree within");
+  std::puts("a few percent (the trace *is* a weibull log, replayed); diurnal");
+  std::puts("runs start at midnight and finish before the 14:00 low, so they");
+  std::puts("live in the calm half of the day; the 2-hourly preemption waves");
+  std::puts("are the harshest — deaths synchronize on the burst instants, so");
+  std::puts("co-scheduled tasks (and planned merge groups) die together and");
+  std::puts("goodput drops the most.");
   return 0;
 }
