@@ -2,9 +2,9 @@
 //
 // Every numeric flag goes through util::parse_int_strict /
 // parse_double_strict: a missing, malformed or out-of-range value prints
-// the bench's usage line and exits 2, instead of silently running the
-// default scenario ("--cores x" read as 0, "do not scale"), a wrapped one
-// ("--tasklets -5" read as ~1.8e19) or aborting on an uncaught exception.
+// the bench's usage line and exits 2.  A lax parse would read "--cores x"
+// as 0 ("do not scale": the full 10 000-core run) and "--tasklets -5" as
+// ~1.8e19 tasklets.
 //
 //   benchflags::Args args(argc, argv, "[--cores N] [--mode M]");
 //   while (args.next()) {
