@@ -167,7 +167,7 @@ class AdversarialBurstAvailability final : public AvailabilityModel {
 
 /// Build a model from its config: `weibull` and `diurnal` share
 /// WeibullAvailability (amplitude 0 for `weibull`).  Models hold no RNG
-/// state; every draw comes from the worker's own stream.  Throws
+/// state; draws use the stream the caller passes.  Throws
 /// std::invalid_argument on bad parameters or an unreadable/empty trace.
 std::unique_ptr<AvailabilityModel> make_availability_model(
     const AvailabilityConfig& config);

@@ -60,9 +60,9 @@ SiteManager::SiteManager(des::Simulation& sim, const ClusterParams& cluster,
       node.id = w;
       node.site = i;
       node.rng = rng_.stream("node." + std::to_string(i), w);
-      // Scatter trace-replay phases without consuming the node's RNG
-      // stream, so a climate's survival draws do not depend on whether
-      // trace replay is in use.
+      // Scatter trace-replay phases from the node's coordinates, not its
+      // RNG stream, whose draws (survival times, rejoin back-offs) the
+      // other climates use.
       std::uint64_t phase_state =
           (static_cast<std::uint64_t>(i) << 32) ^ w;
       node.avail_phase = util::splitmix64(phase_state);
