@@ -19,7 +19,6 @@
 //   --sites 8 --target-gbps 50   is the CI smoke configuration.
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "bench_flags.hpp"
@@ -79,13 +78,6 @@ std::string gbps(double v) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   const auto& ro = opt.ramp;
-  lobsim::RampResult r;
-  try {
-    r = lobsim::run_200gbps_ramp(ro);
-  } catch (const std::invalid_argument& e) {
-    benchflags::usage(argv[0], kUsage, e.what());
-  }
-
   std::printf(
       "=== Figure 16: 200 Gbps data plane (%s mode), ramp to %.0f Gbit/s "
       "===\n"
@@ -97,6 +89,8 @@ int main(int argc, char** argv) {
       ro.target_gbps / static_cast<double>(std::min(ro.trunks, ro.sites)),
       ro.policy == xrootd::PathPolicy::LeastLoaded ? "least-loaded"
                                                    : "first-available");
+
+  const lobsim::RampResult r = lobsim::run_200gbps_ramp(ro);
 
   util::Table table({"phase", "offered Gb/s", "achieved Gb/s", "site min",
                      "site max", "broken", "failed opens"});
