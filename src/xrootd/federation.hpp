@@ -67,7 +67,8 @@ enum class PathPolicy {
 class FederationSim {
  public:
   struct Params {
-    /// Shared campus uplink (all WAN transfers contend here).
+    /// Shared campus uplink: the one path when `paths` is empty (every
+    /// WAN transfer contends there).
     double campus_uplink_rate = 1.25e9;  // 10 Gbit/s
     /// Per-flow ceiling (server/TCP stream limit).
     double per_stream_rate = 3.0e7;  // ~30 MB/s per stream
