@@ -206,6 +206,31 @@ TEST(Engine, PeakRunningBoundedByCores) {
   EXPECT_GT(m.peak_running, 0u);
 }
 
+// A finished workflow leaves nothing behind: every idle slot is woken to
+// leave, and no timer outlives the run, so run() stops slicing as soon as
+// the last process ends — in every merge mode, advisor on or off.
+TEST(Engine, FinishedRunLeavesNoProcessOrEvent) {
+  for (auto mode : {core::MergeMode::Sequential, core::MergeMode::Hadoop,
+                    core::MergeMode::Interleaved}) {
+    for (bool advisor : {false, true}) {
+      auto w = small_workload();
+      w.merge_mode = mode;
+      lobsim::Engine engine(small_cluster(), w, 7);
+      if (advisor) engine.enable_advisor(lobsim::AdvisorConfig{});
+      const auto& m = engine.run(20.0 * 86400.0);
+      ASSERT_TRUE(m.completed);
+      EXPECT_EQ(engine.sim().live_processes(), 0u)
+          << core::to_string(mode) << " advisor=" << advisor;
+      EXPECT_EQ(engine.sim().pending_events(), 0u)
+          << core::to_string(mode) << " advisor=" << advisor;
+      // The last slice ends within a day of the last completion (idle
+      // slots, samplers and rejoin back-offs all wind down by then).
+      EXPECT_LT(engine.sim().now(), m.makespan + 86400.0)
+          << core::to_string(mode) << " advisor=" << advisor;
+    }
+  }
+}
+
 TEST(Engine, RejectsZeroSquids) {
   auto cluster = small_cluster();
   cluster.num_squids = 0;
