@@ -6,23 +6,36 @@
 //
 // The repo commits the snapshots measured at merge time; CI re-runs the
 // benches and feeds both files to this gate, which fails when the fresh
-// events/s falls more than the allowed fraction below the committed
-// baseline.  The headline numbers are steady-state event throughput with
-// setup excluded, so a regression here is a real hot-path regression, not
-// a build-farm hiccup in workload construction.
+// headline throughput (`events_per_s`: the bench's unit of work per second
+// — kernel events for micro_des/micro_net, tasklets for the Engine runs)
+// falls more than the allowed fraction below the committed baseline.  The
+// headline numbers are steady-state throughput with setup excluded, so a
+// regression here is a real hot-path regression, not a build-farm hiccup
+// in workload construction.
 //
 // Usage: bench_gate [--max-regress PCT] BASELINE FRESH [BASELINE FRESH]...
 //
+// PCT must be a finite number in [0, 100) (default 15).
 // Exit codes: 0 within bounds, 1 regression, 2 usage/IO error.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace {
+
+int usage(int code) {
+  std::fprintf(stderr,
+               "usage: bench_gate [--max-regress PCT] BASELINE FRESH "
+               "[BASELINE FRESH]...\n");
+  return code;
+}
 
 struct Snapshot {
   std::string bench;
@@ -67,16 +80,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--max-regress") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_gate: --max-regress needs a value\n");
-        return 2;
+      // A NaN bound would pass every run; "abc", "50x" and negatives are
+      // typos, not bounds.
+      const std::optional<double> pct =
+          i + 1 < argc ? lobster::util::parse_double_strict(argv[++i])
+                       : std::nullopt;
+      if (!pct || !std::isfinite(*pct) || *pct < 0.0 || *pct >= 100.0) {
+        std::fprintf(stderr,
+                     "bench_gate: --max-regress needs a percentage in "
+                     "[0, 100)\n");
+        return usage(2);
       }
-      max_regress_pct = std::atof(argv[++i]);
+      max_regress_pct = *pct;
     } else if (arg == "-h" || arg == "--help") {
-      std::fprintf(stderr,
-                   "usage: bench_gate [--max-regress PCT] BASELINE FRESH "
-                   "[BASELINE FRESH]...\n");
-      return 0;
+      return usage(0);
     } else {
       files.push_back(arg);
     }
@@ -106,14 +123,14 @@ int main(int argc, char** argv) {
         100.0 * (fresh.events_per_s - base.events_per_s) / base.events_per_s;
     const bool bad = delta_pct < -max_regress_pct;
     regressed = regressed || bad;
-    std::printf("%-28s %12.4g -> %12.4g events/s  %+7.2f%%  %s\n",
+    std::printf("%-28s %12.4g -> %12.4g per s  %+7.2f%%  %s\n",
                 (base.bench.empty() ? files[i] : base.bench).c_str(),
                 base.events_per_s, fresh.events_per_s, delta_pct,
                 bad ? "REGRESSION" : "ok");
   }
   if (regressed) {
     std::fprintf(stderr,
-                 "bench_gate: events/s fell more than %.1f%% below the "
+                 "bench_gate: throughput fell more than %.1f%% below the "
                  "committed snapshot\n",
                  max_regress_pct);
     return 1;

@@ -47,6 +47,7 @@
 #include "lobsim/campaign.hpp"
 #include "lobsim/spec_config.hpp"
 #include "util/config.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
 #include "util/units.hpp"
@@ -315,16 +316,18 @@ int main(int argc, char** argv) {
       opt.expect_mover = value("--expect-mover");
     } else if (arg == "--trace-dir") {
       opt.trace_dir = value("--trace-dir");
-    } else if (arg == "--seeds") {
-      opt.seeds = static_cast<std::size_t>(
-          std::strtoull(value("--seeds").c_str(), nullptr, 10));
-      if (opt.seeds == 0) {
-        std::fprintf(stderr, "error: --seeds must be >= 1\n");
-        return 2;
+    } else if (arg == "--seeds" || arg == "--jobs") {
+      // parse_campaign_flags' rules: a whole integer, --seeds >= 1,
+      // --jobs >= 0 (0 = hardware concurrency).
+      const bool seeds = arg == "--seeds";
+      const long long min = seeds ? 1 : 0;
+      const auto v = util::parse_int_strict(value(arg.c_str()));
+      if (!v || *v < min) {
+        std::fprintf(stderr, "error: %s needs an integer >= %lld\n",
+                     arg.c_str(), min);
+        return usage(argv[0]);
       }
-    } else if (arg == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(
-          std::strtoull(value("--jobs").c_str(), nullptr, 10));
+      (seeds ? opt.seeds : opt.jobs) = static_cast<std::size_t>(*v);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       return usage(argv[0]);
