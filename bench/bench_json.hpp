@@ -36,6 +36,7 @@ inline std::int64_t peak_rss_bytes() {
 struct Headline {
   double events = 0.0;  ///< units of work completed in the timed region
   double wall_s = 0.0;  ///< wall time of the timed region
+  const char* unit = "events";  ///< what `events` counts (printed only)
   [[nodiscard]] double events_per_s() const {
     return wall_s > 0.0 ? events / wall_s : 0.0;
   }
@@ -74,8 +75,8 @@ inline bool write_snapshot(const std::string& name, const Headline& h) {
                static_cast<long long>(peak_rss_bytes()));
   std::fclose(f);
   // stderr, so a figure bench's stdout stays the figure alone.
-  std::fprintf(stderr, "%s: %.3g events/s (wall %.3gs) -> %s\n", name.c_str(),
-               h.events_per_s(), h.wall_s, path.c_str());
+  std::fprintf(stderr, "%s: %.3g %s/s (wall %.3gs) -> %s\n", name.c_str(),
+               h.events_per_s(), h.unit, h.wall_s, path.c_str());
   return true;
 }
 

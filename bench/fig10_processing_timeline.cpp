@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   const auto& m = engine.run(10.0 * 86400.0);
   const double wall = sw.stop();
   benchjson::write_snapshot(
-      "fig10", {static_cast<double>(m.tasklets_processed), wall});
+      "fig10", {static_cast<double>(m.tasklets_processed), wall, "tasklets"});
 
   const auto& mon = m.monitor;
   const auto eff = mon.efficiency_timeline();

@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   const auto& m = engine.run(10.0 * 86400.0);
   const double wall = sw.stop();
   benchjson::write_snapshot(
-      "fig11", {static_cast<double>(m.tasklets_processed), wall});
+      "fig11", {static_cast<double>(m.tasklets_processed), wall, "tasklets"});
 
   const auto& mon = m.monitor;
   const auto setup = mon.setup_time_timeline();

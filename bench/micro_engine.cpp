@@ -69,7 +69,8 @@ benchjson::Headline headline_engine_throughput() {
     const auto& m = engine.run(spec.time_cap);
     const double wall = sw.stop();
     const double tasklets = static_cast<double>(m.tasklets_processed);
-    if (best.wall_s == 0.0 || wall < best.wall_s) best = {tasklets, wall};
+    if (best.wall_s == 0.0 || wall < best.wall_s)
+      best = {tasklets, wall, "tasklets"};
   }
   return best;
 }
