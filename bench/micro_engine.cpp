@@ -46,8 +46,8 @@ lobsim::RunSpec small_spec() {
 }
 
 // The headline scenario: the small spec grown to 1024 cores and 72k
-// tasklets, so one run lasts long enough (>= 40 ms) for the perf gate's 15%
-// band to clear timer noise.
+// tasklets, so one run lasts long enough (tens of ms) for the perf gate's
+// 15% band to clear timer noise.
 lobsim::RunSpec headline_spec() {
   auto spec = small_spec();
   spec.cluster.target_cores = 1024;

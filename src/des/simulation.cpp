@@ -62,6 +62,16 @@ void Simulation::schedule_resume(double delay, std::coroutine_handle<> h) {
   queue_.push_resume(now_ + delay, h);
 }
 
+void Simulation::schedule_at(double t, std::function<void()> fn) {
+  if (!(t >= now_)) throw std::invalid_argument("schedule_at: time in the past");
+  queue_.push_fn(t, std::move(fn));
+}
+
+void Simulation::schedule_resume_at(double t, std::coroutine_handle<> h) {
+  if (!(t >= now_)) throw std::invalid_argument("schedule_at: time in the past");
+  queue_.push_resume(t, h);
+}
+
 ProcessRef Simulation::spawn(Process p) {
   Process::Handle h = std::exchange(p.handle_, nullptr);
   assert(h && "spawn of moved-from Process");

@@ -147,6 +147,13 @@ class Simulation {
   /// grants.
   void schedule_resume(double delay, std::coroutine_handle<> h);
 
+  /// Absolute-time forms (t >= now()): the event fires at exactly `t`.
+  /// Scheduling `t - now()` as a delay does not always round back to `t`,
+  /// and a process that skips events must still land on the instant its
+  /// delay chain would have reached (lobsim's parked idle slots).
+  void schedule_at(double t, std::function<void()> fn);
+  void schedule_resume_at(double t, std::coroutine_handle<> h);
+
   /// Take ownership of a process coroutine and schedule its first step at
   /// the current time.  Returns a joinable reference.
   ProcessRef spawn(Process p);

@@ -285,6 +285,10 @@ class StealingDispatch final : public PartitionedDispatch {
   /// taken; the Engine mirrors these into lobsim.steal.{attempts,tasks}.
   [[nodiscard]] std::uint64_t steal_attempts() const { return attempts_; }
   [[nodiscard]] std::uint64_t steal_tasks() const { return stolen_; }
+  /// Count `n` failed steal polls the caller did not make: a parked idle
+  /// slot skips the polls it knows would find nothing, and each would have
+  /// been one attempt.
+  void add_skipped_attempts(std::uint64_t n) { attempts_ += n; }
 
  private:
   std::uint64_t min_backlog_;

@@ -17,6 +17,8 @@ constexpr int kExitXrootdFailure = 211; // streaming open failed (outage)
 constexpr int kExitStageOutFailure = 173;
 constexpr int kExitEvicted = 179;
 
+// An idle slot's poll period: after a pull that finds nothing, the slot
+// pulls again only on instants this far apart (it parks in between).
 constexpr double kIdleRetryDelay = 60.0;
 
 // Charges the simulated time elapsed in its scope to one segment of a
@@ -44,6 +46,27 @@ class SegmentCharge {
   double t0_;
 };
 }  // namespace
+
+/// What a momentarily idle slot co_awaits.  It lives in the slot's frame
+/// for the whole suspension, so the Engine holds a pointer to it.
+struct Engine::ParkedSlot {
+  Engine& engine;
+  const WorkerNode& node;
+  /// The slot's last pull: its poll chain continues from here.
+  double last_poll;
+  /// That pull made a failed steal attempt, so each skipped poll would
+  /// have made one too (false when the advisor's share gate denied it).
+  bool counts_steals;
+  std::coroutine_handle<> handle{};
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    handle = h;
+    engine.parked_.push_back(this);
+    engine.arm_exit(node);
+  }
+  void await_resume() const noexcept {}
+};
 
 Engine::Engine(ClusterParams cluster, WorkloadParams workload,
                std::uint64_t seed, double metric_bin_seconds)
@@ -74,6 +97,10 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
   }
   stealing_ = dynamic_cast<StealingDispatch*>(dispatch_.get());
   planner_ = MergePlanner::make(workload_.merge_mode, workload_.merge_policy);
+  exit_armed_.resize(sites_->num_sites());
+  for (std::size_t s = 0; s < sites_->num_sites(); ++s)
+    exit_armed_[s].assign(sites_->num_workers(s),
+                          -std::numeric_limits<double>::infinity());
 
   metrics_ = std::make_unique<EngineMetrics>(metric_bin_seconds);
 
@@ -164,6 +191,8 @@ const EngineMetrics& Engine::run(double time_cap) {
   double t = 0.0;
   while (t < time_cap && sim_.pending_events() > 0) {
     t = std::min(time_cap, t + 3600.0);
+    slice_end_ = t;
+    for (const ParkedSlot* slot : parked_) arm_exit(slot->node);
     sim_.run_until(t);
     LOBSTER_LOG_DEBUG("lobsim",
                       "t=%.0fs events=%llu running=%zu pending_tasklets=%llu "
@@ -241,6 +270,8 @@ des::Process Engine::advisor_loop(double period) {
 
     const std::vector<AdvisorDecision> decisions =
         advisor_->tick(sim_.now(), metrics_->monitor, gauges, *advisor_port_);
+    // The share gates every pull, so a tick may open it.
+    wake_parked();
     ++metrics_->advisor_ticks;
     ctr_advisor_ticks_->add();
     ctr_advisor_share_->set(advisor_->dispatch_share());
@@ -284,14 +315,59 @@ des::Process Engine::advisor_loop(double period) {
   }
 }
 
+void Engine::arm_exit(const WorkerNode& node) {
+  // An idle slot leaves at its first poll instant >= min(death, cap); one
+  // timer per node life, at that bound, wakes the node's parked slots.
+  const double exit = std::min(node.death, end_time_cap_);
+  double& armed = exit_armed_[node.site][node.id];
+  if (exit > slice_end_ || armed == exit) return;
+  armed = exit;
+  sim_.schedule_at(exit, [this, &node] { wake_node(node); });
+}
+
+void Engine::wake_parked() {
+  for (const ParkedSlot* slot : parked_) resume_parked(*slot);
+  parked_.clear();
+}
+
+void Engine::wake_node(const WorkerNode& node) {
+  std::size_t kept = 0;
+  for (ParkedSlot* slot : parked_) {
+    if (&slot->node == &node)
+      resume_parked(*slot);
+    else
+      parked_[kept++] = slot;
+  }
+  parked_.resize(kept);
+}
+
+void Engine::resume_parked(const ParkedSlot& slot) {
+  // Walk the poll chain by the repeated addition sim_.delay performs
+  // (L + d, then (L + d) + d, ...): L + k*d can round to another instant.
+  // A poll instant equal to now resumes after the waking event; a polling
+  // slot's event there was ordered by its queue sequence number instead.
+  const double now = sim_.now();
+  double poll = slot.last_poll + kIdleRetryDelay;
+  std::uint64_t skipped = 0;
+  for (; poll < now; poll += kIdleRetryDelay) ++skipped;
+  if (slot.counts_steals && skipped > 0) {
+    stealing_->add_skipped_attempts(skipped);
+    sync_steal_attempts();
+  }
+  sim_.schedule_resume_at(poll, slot.handle);
+}
+
 des::Process Engine::core_slot(NodeHandle handle, std::size_t slot) {
   WorkerNode& node = sites_->node(handle);  // stable dense-array slot
   while (!done_ && sim_.now() < node.death && sim_.now() < end_time_cap_) {
+    const std::uint64_t attempts = metrics_->steal_attempts;
     auto task = next_task(node);
     if (!task) {
       if (workflow_complete()) co_return;
-      // Momentarily idle (e.g. waiting for merge work); poll again.
-      co_await sim_.delay(kIdleRetryDelay);
+      // Momentarily idle (e.g. waiting for merge work): park until a pull
+      // could turn out differently, then pull at the next poll instant.
+      co_await ParkedSlot{*this, node, sim_.now(),
+                          metrics_->steal_attempts > attempts};
       continue;
     }
     ++running_tasks_;
@@ -580,9 +656,10 @@ des::Task<bool> Engine::run_task(WorkerNode& node, std::size_t slot,
 
 std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
   // Advisor dispatch-share gate: a throttled site runs at most
-  // ceil(share * slots) concurrent tasks.  A denied slot idles through the
-  // usual retry delay and re-checks, so a drain (share 0) leaves running
-  // tasks untouched and the site refills promptly once the share recovers.
+  // ceil(share * slots) concurrent tasks.  A denied slot parks and re-checks
+  // at its next poll instant after a tick or a task end, so a drain (share
+  // 0) leaves running tasks untouched and the site refills promptly once
+  // the share recovers.
   // The cap bounds *concurrency*, which is what actually sheds load from
   // the shared services (squid, chirp, uplinks); a pull-ratio pacing
   // cannot, because denied slots retry and Little's law pins steady-state
@@ -608,11 +685,7 @@ std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
   if (stealing_) {
     // Mirror the policy's attempt count (it ticks even on failed polls) and
     // announce successful steals on the trace plane.
-    const std::uint64_t attempts = stealing_->steal_attempts();
-    if (attempts > metrics_->steal_attempts) {
-      util::bump(ctr_steal_attempts_, attempts - metrics_->steal_attempts);
-      metrics_->steal_attempts = attempts;
-    }
+    sync_steal_attempts();
     if (task && task->stolen) {
       ++metrics_->steal_tasks;
       util::bump(ctr_steal_tasks_);
@@ -625,6 +698,14 @@ std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
   }
   if (task && task->is_merge) ++running_merges_;
   return task;
+}
+
+void Engine::sync_steal_attempts() {
+  const std::uint64_t attempts = stealing_->steal_attempts();
+  if (attempts > metrics_->steal_attempts) {
+    util::bump(ctr_steal_attempts_, attempts - metrics_->steal_attempts);
+    metrics_->steal_attempts = attempts;
+  }
 }
 
 void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
@@ -695,6 +776,10 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
   }
 
   if (workflow_complete()) done_ = true;
+  // Parked slots pull again when work entered a pool, when the workflow
+  // finished, and (advisor on) after every task end, because the share
+  // gate counts each site's running tasks.
+  if (done_ || advisor_ || !dispatch_->idle()) wake_parked();
 }
 
 des::Process Engine::hadoop_merge() {
@@ -732,7 +817,10 @@ des::Process Engine::hadoop_merge() {
     reducers.push_back(sim_.spawn(reducer(this, slots, groups[i], i)));
   for (auto& ref : reducers) co_await ref.done();
   hadoop_done_ = true;
-  if (workflow_complete()) done_ = true;
+  if (workflow_complete()) {
+    done_ = true;
+    wake_parked();
+  }
 }
 
 bool Engine::analysis_complete() const {

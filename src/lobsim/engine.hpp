@@ -226,6 +226,7 @@ class Engine {
 
  private:
   struct AdvisorPort;  // the AdvisorActions adapter (engine.cpp)
+  struct ParkedSlot;   // an idle slot's suspension (engine.cpp)
 
   des::Process gauge_sampler(double period);
   des::Process advisor_loop(double period);
@@ -245,6 +246,21 @@ class Engine {
                    bool success, bool evicted, std::size_t site);
   bool analysis_complete() const;
   bool workflow_complete() const;
+  /// Mirror StealingDispatch's attempt count into RunStats and the counter
+  /// plane.
+  void sync_steal_attempts();
+
+  // Idle-slot parking.  A slot whose pull finds nothing suspends with no
+  // event scheduled.  wake_parked() hands every parked slot back to the
+  // queue at its next kIdleRetryDelay poll instant — the instant a polling
+  // slot would have pulled again — whenever a pull could turn out
+  // differently (finish_task, hadoop_merge, advisor_loop).  A node's exit
+  // timer (arm_exit) wakes its parked slots at min(death, time cap), so
+  // they leave at the poll instant polling would have left at.
+  void wake_parked();
+  void wake_node(const WorkerNode& node);
+  void resume_parked(const ParkedSlot& slot);
+  void arm_exit(const WorkerNode& node);
   /// Trace track for a (site, worker, slot) triple.  Worker ids are
   /// per-site, so the site index is folded in to keep tracks distinct.
   static std::uint64_t task_track(const WorkerNode& node, std::size_t slot);
@@ -304,6 +320,17 @@ class Engine {
   /// Tasks currently running per site (maintained unconditionally; the
   /// advisor gate in next_task compares it against the share cap).
   std::vector<std::size_t> site_running_;
+
+  // ---- idle-slot parking ----
+  /// Parked slots in park order: slots that share a poll instant resume in
+  /// the order they would have polled.
+  std::vector<ParkedSlot*> parked_;
+  /// Per node [site][index]: the exit instant whose timer is armed (one
+  /// timer per node life).
+  std::vector<std::vector<double>> exit_armed_;
+  /// End of the current run() slice.  Exit timers beyond it are armed by
+  /// the run loop when their slice comes, so no timer outlives the run.
+  double slice_end_ = 0.0;
 
   // ---- workload state ----
   std::size_t running_tasks_ = 0;

@@ -206,6 +206,33 @@ TEST(Engine, PeakRunningBoundedByCores) {
   EXPECT_GT(m.peak_running, 0u);
 }
 
+// Cost pin: a slot with nothing to do must not spend events while it
+// waits.  64 dedicated slots share 8 one-tasklet tasks, so 56 sit idle for
+// the whole run; doubling that idle tail (10 h -> 20 h tasks) may add a few
+// gauge samples, but fewer events than there are slots.  Idle slots that
+// poll once a simulated minute would add ~33 600.
+TEST(Engine, IdleTailCostsNoEventsPerMinute) {
+  auto events_for = [](double task_seconds) -> long long {
+    auto cluster = small_cluster();
+    cluster.evictions = false;
+    auto w = small_workload();
+    w.num_tasklets = 8;
+    w.tasklets_per_task = 1;
+    w.tasklet_cpu_mean = task_seconds;
+    w.tasklet_cpu_sigma = 1.0;
+    lobsim::Engine engine(cluster, w, 42, 36000.0);
+    const auto& m = engine.run(20.0 * 86400.0);
+    EXPECT_TRUE(m.completed);
+    EXPECT_EQ(m.tasklets_processed, 8u);
+    return static_cast<long long>(engine.sim().events_executed());
+  };
+  const long long ten_hours = events_for(36000.0);
+  const long long twenty_hours = events_for(72000.0);
+  EXPECT_LT(twenty_hours - ten_hours, 64)
+      << ten_hours << " events with 10 h tasks, " << twenty_hours
+      << " with 20 h tasks";
+}
+
 // A finished workflow leaves nothing behind: every idle slot is woken to
 // leave, and no timer outlives the run, so run() stops slicing as soon as
 // the last process ends — in every merge mode, advisor on or off.
