@@ -8,8 +8,9 @@
 // The headline event-throughput measurement additionally writes
 // BENCH_micro_des.json (see bench_json.hpp) for the CI perf-regression
 // gate, the Engine-shaped push pattern writes BENCH_micro_des_engine.json,
-// and the link's flow churn writes BENCH_micro_des_link.json;
-// `--headline-only` runs just those three.
+// and the link's flow churn writes BENCH_micro_des_link.json (uncapped
+// flows) and BENCH_micro_des_link_capped.json (cap-bound flows under
+// capacity); `--headline-only` runs just those four.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -86,28 +87,32 @@ bj::Headline headline_engine_pattern() {
   return best;
 }
 
-des::Process transfer_proc(des::BandwidthLink& link, double bytes) {
-  co_await link.transfer(bytes);
+des::Process transfer_proc(des::BandwidthLink& link, double bytes,
+                           double cap) {
+  co_await link.transfer(bytes, cap);
 }
 
-// Link churn: `flows` uncapped transfers of 1-100 MB joining at uniform
-// times over 10 s on a 1 GB/s link — one cap class, hundreds to thousands
-// of flows in flight.
+// Link churn: `flows` transfers of 1-100 MB joining at uniform times over
+// 10 s on a 1 GB/s link — one cap class, hundreds to thousands of flows in
+// flight.
 void schedule_churn(des::Simulation& sim, des::BandwidthLink& link, int flows,
-                    lu::Rng& rng) {
+                    lu::Rng& rng, double cap = des::BandwidthLink::kUncapped) {
   for (int i = 0; i < flows; ++i) {
     const double at = rng.uniform(0.0, 10.0);
     const double bytes = rng.uniform(1e6, 1e8);
-    sim.schedule(at, [&sim, &link, bytes] {
-      sim.spawn(transfer_proc(link, bytes));
+    sim.schedule(at, [&sim, &link, bytes, cap] {
+      sim.spawn(transfer_proc(link, bytes, cap));
     });
   }
 }
 
-// Third headline, the link: the BM_BandwidthFlowChurn/4000 shape, 50
-// seeded simulations per timed region so the region lasts ~0.15 s.  The
-// unit is a completed transfer.
-bj::Headline headline_link_churn() {
+// Third and fourth headlines, the link: the BM_BandwidthFlowChurn/4000
+// shape, 50 seeded simulations per timed region.  Uncapped, every join
+// moves the fair share (~0.15 s a region).  Capped at 200 kB/s, all 4000
+// flows fit under the capacity at once, so the link never saturates and
+// only a join that overtakes the head moves its next completion: fig16's
+// per-stream-capped links.  The unit is a completed transfer.
+bj::Headline headline_link_churn(double cap) {
   constexpr int kFlows = 4000;
   constexpr int kSims = 50;
   constexpr int kReps = 3;
@@ -116,19 +121,22 @@ bj::Headline headline_link_churn() {
     des::BandwidthLink link{sim, 1e9};
   };
   bj::Headline best;
+  best.unit = "transfers";
   for (int rep = 0; rep < kReps; ++rep) {
     lu::Rng rng(7);
     std::vector<std::unique_ptr<Churn>> runs;
     for (int i = 0; i < kSims; ++i) {
       runs.push_back(std::make_unique<Churn>());
-      schedule_churn(runs.back()->sim, runs.back()->link, kFlows, rng);
+      schedule_churn(runs.back()->sim, runs.back()->link, kFlows, rng, cap);
     }
     bj::Stopwatch sw;
     sw.start();
     for (const auto& r : runs) r->sim.run();
     const double wall = sw.stop();
-    if (best.wall_s == 0.0 || wall < best.wall_s)
-      best = {static_cast<double>(kFlows) * kSims, wall};
+    if (best.wall_s == 0.0 || wall < best.wall_s) {
+      best.events = static_cast<double>(kFlows) * kSims;
+      best.wall_s = wall;
+    }
   }
   return best;
 }
@@ -211,7 +219,9 @@ int main(int argc, char** argv) {
   bj::strip_headline_flag(&argc, argv);
   bj::write_snapshot("micro_des", headline_event_throughput());
   bj::write_snapshot("micro_des_engine", headline_engine_pattern());
-  bj::write_snapshot("micro_des_link", headline_link_churn());
+  bj::write_snapshot("micro_des_link",
+                     headline_link_churn(des::BandwidthLink::kUncapped));
+  bj::write_snapshot("micro_des_link_capped", headline_link_churn(2e5));
   if (headline_only) return 0;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -29,13 +29,14 @@ bool finished(double key, double total, double served) {
 
 BandwidthLink::BandwidthLink(Simulation& sim, double capacity_bytes_per_s)
     : sim_(sim), capacity_(capacity_bytes_per_s) {
-  if (capacity_ < 0.0)
-    throw std::invalid_argument("BandwidthLink: negative capacity");
+  // !(>= 0) also rejects NaN, which would stall every flow silently.
+  if (!(capacity_ >= 0.0))
+    throw std::invalid_argument("BandwidthLink: negative or NaN capacity");
 }
 
 void BandwidthLink::set_capacity(double bytes_per_s) {
-  if (bytes_per_s < 0.0)
-    throw std::invalid_argument("BandwidthLink: negative capacity");
+  if (!(bytes_per_s >= 0.0))
+    throw std::invalid_argument("BandwidthLink: negative or NaN capacity");
   // Eager: allocated_rate() <= capacity() must hold the moment this
   // returns, even mid-timestamp, so the change cannot ride a batch.  The
   // flush integrates at the rates solved for the old capacity.
@@ -63,7 +64,7 @@ std::shared_ptr<Event> BandwidthLink::start_flow(double bytes,
     throw std::invalid_argument("BandwidthLink: transfer size is NaN");
   auto done = std::make_shared<Event>(sim_);
   // Integrate up to now at the pre-join rates (completions trigger first);
-  // the solve itself is deferred to the batch flush so a same-timestamp
+  // the solve itself waits for the batch flush, so a same-timestamp
   // dispatch burst pays for one.
   if (sim_.now() > last_update_) advance();
   auto c = std::lower_bound(
@@ -81,9 +82,22 @@ std::shared_ptr<Event> BandwidthLink::start_flow(double bytes,
     c = classes_.insert(c, Class{rate_cap, 0.0, slot});
   }
   std::vector<Flow>& heap = heaps_[c->heap];
-  heap.push_back(Flow{c->served + bytes, next_id_++, bytes, done});
+  const double key = c->served + bytes;
+  heap.push_back(Flow{key, next_id_++, bytes, done});
   std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   ++active_;
+  // Except: while every flow is cap-bound and the last solve is current,
+  // the first join at a timestamp solves here.  When the joiner fits under
+  // the capacity and completes no earlier than the armed timer, the flush
+  // would change nothing, so it is skipped; a burst still costs at most
+  // this solve and the flush's.
+  const double now = sim_.now();
+  if (fair_rate_ == kUncapped && armed_at_ != kUncapped && !batch_pending_ &&
+      eager_at_ != now && !finished(key, bytes, c->served)) {
+    eager_at_ = now;
+    solve();
+    if (fair_rate_ == kUncapped && next_due() == armed_at_) return done;
+  }
   request_batch();
   return done;
 }
@@ -149,8 +163,7 @@ void BandwidthLink::solve() {
                (left > 0 ? static_cast<double>(left) * fair : 0.0);
 }
 
-void BandwidthLink::reschedule() {
-  const std::uint64_t gen = ++gen_;
+double BandwidthLink::next_due() {
   // A class's head has the least remaining of its class, and the whole
   // class moves at one rate.
   double min_dt = kUncapped;
@@ -160,16 +173,23 @@ void BandwidthLink::reschedule() {
     if (rate > 0.0)
       min_dt = std::min(min_dt, (heaps_[c.heap].front().key - c.served) / rate);
   }
-  if (!std::isfinite(min_dt)) return;  // link down or no flows
+  if (!std::isfinite(min_dt)) return kUncapped;  // link down or no flows
   // Guarantee strict time progress: a delay below one ulp of now() would
   // fire at the same timestamp and make no headway.
   const double now = sim_.now();
-  if (now + min_dt <= now)
-    min_dt = std::nextafter(now, kUncapped) - now;
+  return now + min_dt > now ? now + min_dt : std::nextafter(now, kUncapped);
+}
+
+void BandwidthLink::reschedule() {
+  const double due = next_due();
+  if (due == armed_at_) return;  // the live timer already fires then
+  const std::uint64_t gen = ++gen_;
+  armed_at_ = due;
+  if (due == kUncapped) return;
   ++stats_.timers_armed;
-  sim_.schedule(min_dt, [this, gen] {
+  sim_.schedule_at(due, [this, gen] {
     if (gen != gen_) {
-      ++stats_.timers_superseded;  // a later topology change re-armed
+      ++stats_.timers_superseded;  // the completion instant moved since
       return;
     }
     flush();

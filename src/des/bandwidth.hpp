@@ -34,6 +34,12 @@
 //     the moment set_capacity returns).  Completions due at one instant
 //     trigger in ascending flow id; a joiner at or below its completion
 //     epsilon completes at its own timestamp's flush.
+//   * A kernel event is scheduled only when the next completion instant
+//     moves: a re-solve that lands on the armed instant bit for bit keeps
+//     the armed timer.  While every flow is cap-bound, the first join at a
+//     timestamp solves at once, and when the fair share and the instant
+//     come out unchanged it skips the flush too — so a burst still costs at
+//     most two solves (that one and the flush's).
 //   * Precision rule: a class counter grows over its busy period, so it is
 //     reset (the class dropped) whenever the class empties, and the
 //     completion test forgives a few ulps of the finish key — a counter too
@@ -160,7 +166,11 @@ class BandwidthLink {
   void advance();
   /// Ascending-cap water-fill over the classes: sets fair_rate_/allocated_.
   void solve();
-  /// Arm the next completion timer (cancels stale ones via gen_).
+  /// When the earliest class head completes at the current rates (strictly
+  /// after now()); kUncapped when the link is down or idle.
+  [[nodiscard]] double next_due();
+  /// Keep the armed timer when next_due() is bit-identical to its instant;
+  /// otherwise arm one there (a stale timer is cancelled via gen_).
   void reschedule();
   /// advance + solve + reschedule; subsumes any pending batch.
   void flush();
@@ -177,6 +187,8 @@ class BandwidthLink {
   std::size_t active_ = 0;
   std::uint64_t next_id_ = 0;
   std::uint64_t gen_ = 0;
+  double armed_at_ = kUncapped;   ///< the live timer's instant; none: kUncapped
+  double eager_at_ = -kUncapped;  ///< timestamp of the last join-time solve
   bool batch_pending_ = false;
   Stats stats_;
   // Non-empty classes in ascending cap order.  A class is trivially

@@ -44,8 +44,11 @@ RunSpec spec_from_config(const util::Config& cfg) {
   cluster.availability.scale_hours = cfg.get_double(
       "cluster", "availability_hours", cluster.availability.scale_hours);
   cluster.evictions = cfg.get_bool("cluster", "evictions", true);
-  cluster.federation.campus_uplink_rate =
-      util::gbit_per_s(cfg.get_double("cluster", "uplink", 10.0));
+  const double uplink_gbps = cfg.get_double("cluster", "uplink", 10.0);
+  if (!(uplink_gbps > 0.0))
+    throw std::invalid_argument("[cluster] uplink must be > 0 (got " +
+                                std::to_string(uplink_gbps) + ")");
+  cluster.federation.campus_uplink_rate = util::gbit_per_s(uplink_gbps);
   cluster.num_squids = get_count<std::size_t>(cfg, "cluster", "squids", 1);
   cluster.chirp.max_connections =
       cfg.get_int("cluster", "chirp_connections", 24);

@@ -1,6 +1,7 @@
 #include "xrootd/federation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace lobster::xrootd {
@@ -34,6 +35,18 @@ FederationSim::FederationSim(des::Simulation& sim, const Params& params)
       ctr_outages_(&sim.counters().counter("xrootd.federation.outages")),
       ctr_bytes_streamed_(&sim.counters().gauge("xrootd.federation.bytes_streamed")),
       ctr_bytes_staged_(&sim.counters().gauge("xrootd.federation.bytes_staged")) {
+  // A zero campus uplink would build a dead path on which every open fails
+  // as if the network were out: a config error, not an outage.
+  const auto positive = [](double v) { return v > 0.0 && std::isfinite(v); };
+  const auto delay = [](double v) { return v >= 0.0 && std::isfinite(v); };
+  if (!positive(params_.campus_uplink_rate))
+    throw std::invalid_argument("federation: bad campus_uplink_rate");
+  if (!positive(params_.per_stream_rate))
+    throw std::invalid_argument("federation: bad per_stream_rate");
+  if (!delay(params_.open_latency))
+    throw std::invalid_argument("federation: bad open_latency");
+  if (!delay(params_.open_fail_delay))
+    throw std::invalid_argument("federation: bad open_fail_delay");
   if (params_.paths.empty()) {
     // The campus path: the shared uplink alone, no trunk hop.
     params_.paths.push_back({"campus", params_.campus_uplink_rate, 0});
@@ -49,9 +62,14 @@ FederationSim::FederationSim(des::Simulation& sim, const Params& params)
       if (p.uplink_rate <= 0.0 || p.trunk >= params_.trunks.size())
         throw std::invalid_argument("federation: bad path");
   }
-  for (const Params::Path& p : params_.paths)
+  for (const Params::Path& p : params_.paths) {
     path_links_.push_back(
         std::make_unique<des::BandwidthLink>(sim, p.uplink_rate));
+    des::BandwidthLink* uplink = path_links_.back().get();
+    hops_.push_back({uplink, trunk_links_.empty()
+                                 ? uplink
+                                 : trunk_links_[p.trunk].get()});
+  }
   path_outage_depth_.assign(params_.paths.size(), 0);
   path_epoch_.assign(params_.paths.size(), 0);
   path_bytes_.assign(params_.paths.size(), 0.0);
@@ -106,7 +124,8 @@ void FederationSim::schedule_path_outage(std::size_t path, double start,
 }
 
 std::size_t FederationSim::pick_path() const {
-  const std::size_t n = path_links_.size();
+  const std::size_t n = hops_.size();
+  if (outage_depth_ > 0) return n;
   if (params_.path_policy == PathPolicy::FirstAvailable) {
     for (std::size_t i = 0; i < n; ++i)
       if (!path_down(i)) return i;
@@ -117,29 +136,31 @@ std::size_t FederationSim::pick_path() const {
   // allocation — active_flows() updates the moment a flow joins, so a
   // same-timestamp dispatch burst spreads across paths instead of piling
   // onto whichever looked empty at the last solve; past saturation the
-  // same figure ranks paths by queue depth.  Ties go to the lowest index.
-  std::size_t best = n;
+  // same figure ranks paths by queue depth.  A link with no capacity
+  // loads infinitely, so it never wins.
   const double inf = std::numeric_limits<double>::infinity();
-  std::pair<double, double> best_load{inf, inf};
-  const auto load = [this](const des::BandwidthLink& l) {
-    if (l.capacity() <= 0.0) return std::numeric_limits<double>::infinity();
-    return params_.per_stream_rate * static_cast<double>(l.active_flows()) /
-           l.capacity();
+  const double per_stream = params_.per_stream_rate;
+  const auto load = [per_stream, inf](const des::BandwidthLink& l) {
+    const double cap = l.capacity();
+    return cap > 0.0 ? per_stream * static_cast<double>(l.active_flows()) / cap
+                     : inf;
   };
+  // Key (most-loaded hop, uplink) in lexicographic order; ties go to the
+  // lowest index.  The uplink tiebreak matters because a shared trunk
+  // contributes the same load to every path feeding it: without it a
+  // saturated trunk would pin every pick to the lowest index.  Selects
+  // rather than branches, since the winner is unpredictable.
+  std::size_t best = n;
+  double best_hop = inf;
+  double best_up = inf;
   for (std::size_t i = 0; i < n; ++i) {
-    if (path_down(i)) continue;
-    const double up = load(*path_links_[i]);
-    // Primary key: the most-loaded hop.  Secondary: the site uplink alone —
-    // a shared trunk contributes the same load to every path feeding it,
-    // so without the tiebreak a saturated trunk would pin every pick to
-    // the lowest index.
-    const des::BandwidthLink* trunk = trunk_of(i);
-    const std::pair<double, double> u{
-        trunk ? std::max(up, load(*trunk)) : up, up};
-    if (u < best_load) {
-      best_load = u;
-      best = i;
-    }
+    const double up = load(*hops_[i].uplink);
+    const double hop = std::max(up, load(*hops_[i].trunk));
+    const bool wins = (path_outage_depth_[i] == 0) &
+                      ((hop < best_hop) | ((hop == best_hop) & (up < best_up)));
+    best = wins ? i : best;
+    best_hop = wins ? hop : best_hop;
+    best_up = wins ? up : best_up;
   }
   return best;
 }
@@ -163,10 +184,12 @@ des::Task<double> FederationSim::transfer(double bytes, double& accounting,
   // An empty transfer starts no flow; a NaN size reaches start_flow, which
   // rejects it.
   if (!(bytes <= 0.0)) {
-    auto up_done = path_links_[p]->start_flow(bytes, params_.per_stream_rate);
-    des::BandwidthLink* trunk = trunk_of(p);
+    const Hops& hops = hops_[p];
+    auto up_done = hops.uplink->start_flow(bytes, params_.per_stream_rate);
     auto trunk_done =
-        trunk ? trunk->start_flow(bytes, params_.per_stream_rate) : nullptr;
+        hops.trunk != hops.uplink
+            ? hops.trunk->start_flow(bytes, params_.per_stream_rate)
+            : nullptr;
     co_await *up_done;
     if (trunk_done) co_await *trunk_done;
   }

@@ -97,6 +97,9 @@ class FederationSim {
     PathPolicy path_policy = PathPolicy::LeastLoaded;
   };
 
+  /// Throws std::invalid_argument on a non-positive or non-finite campus
+  /// uplink or per-stream rate, a negative or non-finite open delay, or a
+  /// bad multi-path topology.
   FederationSim(des::Simulation& sim, const Params& params);
 
   /// Declare an outage window [start, start+duration): opens fail, and
@@ -139,23 +142,28 @@ class FederationSim {
     return path_bytes_[i];
   }
 
+  /// The path the next open takes per the configured policy; num_paths()
+  /// when every path is down.
+  [[nodiscard]] std::size_t pick_path() const;
+
  private:
+  /// The links an open on one path occupies.  The campus path has no trunk
+  /// hop and names its uplink twice, so its most-loaded hop is the uplink.
+  struct Hops {
+    des::BandwidthLink* uplink;
+    des::BandwidthLink* trunk;
+  };
+
   des::Task<double> transfer(double bytes, double& accounting,
                              util::Gauge* volume);
-  /// Choose a path per the configured policy; num_paths() when all down.
-  std::size_t pick_path() const;
-  /// The shared WAN trunk path i feeds; nullptr for the campus path.
-  des::BandwidthLink* trunk_of(std::size_t i) const {
-    return trunk_links_.empty() ? nullptr
-                                : trunk_links_[params_.paths[i].trunk].get();
-  }
 
   des::Simulation& sim_;
   Params params_;
   // One uplink per path plus the shared trunks they feed (unique_ptr:
-  // BandwidthLink is non-movable).
+  // BandwidthLink is non-movable), and per path the two it occupies.
   std::vector<std::unique_ptr<des::BandwidthLink>> path_links_;
   std::vector<std::unique_ptr<des::BandwidthLink>> trunk_links_;
+  std::vector<Hops> hops_;
   std::vector<int> path_outage_depth_;
   std::vector<std::uint64_t> path_epoch_;
   std::vector<double> path_bytes_;

@@ -343,6 +343,62 @@ Schedule gen_mixed_caps_schedule(std::uint64_t seed) {
   return s;
 }
 
+/// Every flow cap-bound under the capacity for the whole run, so the
+/// link's join-time solve and its kept timer decide every join.  Bursts,
+/// joiners that finish before the current head, sub-epsilon joiners and
+/// one capacity step that stays above the sum of every cap.  Half the
+/// schedules are dyadic (power-of-two caps, sizes on the 2^-3 grid of
+/// durations): their exact arithmetic lands most re-solved instants on the
+/// armed one bit for bit, which is when the link skips the flush.
+Schedule gen_cap_bound_schedule(std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::Rng shape = rng.stream("cap-bound-shape");
+  util::Rng values = rng.stream("cap-bound-values");
+  const bool dyadic = shape.chance(0.5);
+  const double unit =
+      dyadic ? std::ldexp(1.0, static_cast<int>(shape.uniform_int(-4, 4)))
+             : std::pow(10.0, shape.uniform(-1.0, 2.0));
+  const std::int64_t n_ops = 20 + shape.uniform_int(0, 40);
+  const std::int64_t step = shape.uniform_int(n_ops / 4, 3 * n_ops / 4);
+  Schedule s;
+  double t = 0.0;
+  double cap_sum = 0.0;
+  for (std::int64_t i = 0; i < n_ops; ++i) {
+    t = next_time(shape, t, i == 0, 16);
+    if (i == step) {  // its value is set once every cap is known
+      s.ops.push_back(Op{t, OpKind::SetCapacity, 0.0, kUncapped});
+      continue;
+    }
+    const double cap = dyadic ? unit * static_cast<double>(
+                                           std::int64_t{1}
+                                           << values.uniform_int(0, 2))
+                              : unit * values.uniform(0.5, 4.0);
+    cap_sum += cap;
+    // Seconds at the cap: sub-epsilon, shorter than a typical head's
+    // remaining time, or long.
+    const double roll = values.uniform();
+    double seconds = 0.0;
+    if (roll < 0.10)
+      seconds = (dyadic ? std::ldexp(1.0, -28) : values.uniform(1e-9, 1e-6)) /
+                cap;
+    else if (roll < 0.40)
+      seconds = dyadic ? 0.125 * static_cast<double>(values.uniform_int(1, 8))
+                       : values.uniform(0.05, 1.0);
+    else
+      seconds = dyadic ? 0.125 * static_cast<double>(values.uniform_int(8, 320))
+                       : values.uniform(1.0, 40.0);
+    s.ops.push_back(Op{t, OpKind::Join, cap * seconds, cap});
+  }
+  const auto headroom = [&] {
+    return dyadic ? 2.0 * static_cast<double>(shape.uniform_int(1, 2))
+                  : shape.uniform(1.25, 4.0);
+  };
+  s.capacity = cap_sum * headroom();
+  s.ops[static_cast<std::size_t>(step)].value = cap_sum * headroom();
+  s.horizon = t + 1e7;
+  return s;
+}
+
 Schedule drop_op(const Schedule& s, std::size_t index) {
   Schedule out = s;
   out.ops.erase(out.ops.begin() + static_cast<std::ptrdiff_t>(index));
@@ -408,6 +464,10 @@ TEST(BandwidthDiff, UniformCapsAtSaturationMatchOracle) {
 
 TEST(BandwidthDiff, MixedCapsCrossingFairShareMatchOracle) {
   fuzz(gen_mixed_caps_schedule, 500);
+}
+
+TEST(BandwidthDiff, CapBoundUnderCapacityMatchOracle) {
+  fuzz(gen_cap_bound_schedule, 2000);
 }
 
 // One class busy for 1e7 simulated seconds: 1 GB flows arrive slightly

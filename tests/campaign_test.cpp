@@ -575,6 +575,27 @@ TEST(SpecConfigTest, EveryDispatchNameMapsToItsMode) {
   EXPECT_THROW(spec_from_config(typo), std::invalid_argument);
 }
 
+// A zero uplink would build a campus path on which every open fails as if
+// the network were out; it is a config error instead.
+TEST(SpecConfigTest, NonPositiveUplinkIsRejected) {
+  for (const char* v : {"0", "-0", "-10"}) {
+    util::Config cfg;
+    cfg.set("cluster", "uplink", v);
+    try {
+      (void)spec_from_config(cfg);
+      ADD_FAILURE() << "[cluster] uplink = " << v << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("[cluster] uplink "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  util::Config ok;
+  ok.set("cluster", "uplink", "2.5");
+  EXPECT_DOUBLE_EQ(spec_from_config(ok).cluster.federation.campus_uplink_rate,
+                   util::gbit_per_s(2.5));
+}
+
 // Each INI integer that lands in an unsigned field: a negative value must
 // be rejected by name instead of wrapping to ~1.8e19.  Strings, not char
 // pointers, so the parameter prints the same in every test listing.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -429,6 +430,90 @@ TEST(Bandwidth, EventCostDoesNotGrowWithFlowsInOneClass) {
   const double large = work_per_solve(10000);
   EXPECT_LT(large, 2.0 * small)
       << "n=1000: " << small << ", n=10000: " << large;
+}
+
+// Cost pin: while every flow is cap-bound under the capacity, a join that
+// completes after the head keeps the armed timer and schedules no flush.
+// Flow 0 (100 B at 10 B/s) is the head until t=10; one 1000 B joiner per
+// second never overtakes it.  Integer rates and sizes keep every re-solved
+// instant exact, so each join lands on the armed one.
+TEST(Bandwidth, StaggeredCapBoundJoinsScheduleNothing) {
+  des::Simulation sim;
+  des::BandwidthLink link(sim, 1000.0);
+  std::vector<std::shared_ptr<des::Event>> done;
+  for (int k = 0; k < 10; ++k)
+    sim.schedule(static_cast<double>(k), [&link, &done, k] {
+      done.push_back(link.start_flow(k == 0 ? 100.0 : 1000.0, 10.0));
+    });
+  sim.run_until(9.5);
+  // Ten join callbacks plus the first join's flush, which arms the timer.
+  EXPECT_EQ(sim.events_executed(), 11u);
+  EXPECT_EQ(link.stats().timers_armed, 1u);
+  EXPECT_EQ(link.allocated_rate(), 100.0);
+  sim.run();
+  for (const auto& d : done) EXPECT_TRUE(d->triggered());
+  EXPECT_EQ(link.stats().timers_superseded, 0u);
+  EXPECT_EQ(link.stats().timers_armed, 10u);  // one per completion instant
+  EXPECT_DOUBLE_EQ(sim.now(), 109.0);
+}
+
+// Cost pin: a same-timestamp burst of cap-bound joins costs at most two
+// solves (the first join's and the flush's), whatever its size.  Every
+// joiner has its own cap, so a solve per join would walk O(N) classes N
+// times.
+TEST(Bandwidth, SameTimestampBurstCostsAtMostTwoSolves) {
+  for (const int n : {1, 2, 64, 512}) {
+    des::Simulation sim;
+    des::BandwidthLink link(sim, 1e6);
+    (void)link.start_flow(10.0, 1.0);  // the head until t=10
+    sim.run_until(0.5);
+    const std::uint64_t before = link.stats().solves;
+    sim.schedule(0.0, [&] {
+      for (int i = 0; i < n; ++i)
+        (void)link.start_flow(1e3, 1.0 + 1e-3 * static_cast<double>(i));
+    });
+    sim.run_until(0.75);
+    EXPECT_LE(link.stats().solves - before, 2u) << n << " joins";
+    EXPECT_EQ(link.active_flows(), static_cast<std::size_t>(n) + 1);
+    EXPECT_EQ(link.fair_rate(), des::BandwidthLink::kUncapped);
+    sim.run();
+    EXPECT_EQ(link.active_flows(), 0u);
+  }
+}
+
+// A sub-epsilon joiner completes at its own timestamp even when the armed
+// timer is one ulp away, where its own instant would round onto the armed
+// one: at t=1e9 one ulp is ~1.2e-7 s, and a 1e-5 B flow at 1e3 B/s needs
+// 1e-8 s, so its timer is nudged to the next double.
+TEST(Bandwidth, SubEpsilonJoinerBesideANudgedTimerCompletesAtItsJoin) {
+  des::Simulation sim;
+  des::BandwidthLink link(sim, 1e6);
+  std::shared_ptr<des::Event> head, tiny;
+  sim.schedule(1e9, [&] {
+    head = link.start_flow(1e-5, 1e3);
+    // After the head's flush, which arms the nudged timer.
+    sim.schedule(0.0, [&] { tiny = link.start_flow(1e-7, 1e3); });
+  });
+  sim.run_until(1e9);
+  ASSERT_TRUE(head && tiny);
+  EXPECT_TRUE(tiny->triggered());
+  EXPECT_FALSE(head->triggered());
+  sim.run();
+  EXPECT_TRUE(head->triggered());
+  EXPECT_EQ(sim.now(), std::nextafter(1e9, 2e9));
+}
+
+TEST(Bandwidth, NanCapacityIsRejectedAtConstruction) {
+  des::Simulation sim;
+  EXPECT_THROW(des::BandwidthLink(sim, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(des::BandwidthLink(sim, -1.0), std::invalid_argument);
+}
+
+TEST(Bandwidth, NanCapacityIsRejectedBySetCapacity) {
+  des::Simulation sim;
+  des::BandwidthLink link(sim, 100.0);
+  EXPECT_THROW(link.set_capacity(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(link.capacity(), 100.0);
 }
 
 TEST(Bandwidth, NanTransferSizeIsRejected) {

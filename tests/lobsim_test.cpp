@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "lobsim/engine.hpp"
+#include "lobsim/scenarios.hpp"
 
 namespace lobsim = lobster::lobsim;
 namespace core = lobster::core;
@@ -231,6 +232,21 @@ TEST(Engine, IdleTailCostsNoEventsPerMinute) {
   EXPECT_LT(twenty_hours - ten_hours, 64)
       << ten_hours << " events with 10 h tasks, " << twenty_hours
       << " with 20 h tasks";
+}
+
+// Cost pin: fig16's CI smoke (8 sites to 50 Gbit/s, 60-s phases).  Its
+// links run cap-bound under capacity until the trunks saturate, so a join
+// that does not move a link's next completion schedules nothing: the run
+// executes 4 742 kernel events, where a flush and a re-armed timer per
+// join took 7 568.
+TEST(Ramp, SmokeRunSchedulesNoEventPerUnmovedJoin) {
+  lobsim::RampOptions opt;
+  opt.sites = 8;
+  opt.target_gbps = 50.0;
+  opt.phase_seconds = 60.0;
+  const lobsim::RampResult r = lobsim::run_200gbps_ramp(opt);
+  EXPECT_GT(r.streams_completed, 0u);
+  EXPECT_LE(r.events_executed, 5000u);
 }
 
 // A finished workflow leaves nothing behind: every idle slot is woken to

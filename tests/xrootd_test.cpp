@@ -2,9 +2,17 @@
 // model with outage injection, and the in-process client.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "xrootd/federation.hpp"
 
 namespace xr = lobster::xrootd;
@@ -133,6 +141,48 @@ TEST(FederationSim, BadOutageWindowRejected) {
   xr::FederationSim fed(sim, {});
   EXPECT_THROW(fed.schedule_outage(-1.0, 5.0), std::invalid_argument);
   EXPECT_THROW(fed.schedule_outage(0.0, 0.0), std::invalid_argument);
+}
+
+// A zero campus uplink is a config error, not a path that is always out.
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const double kNaN = std::nan("");
+
+void expect_rejected(double xr::FederationSim::Params::*field,
+                     std::initializer_list<double> bad,
+                     std::initializer_list<double> good) {
+  des::Simulation sim;
+  for (const double v : bad) {
+    xr::FederationSim::Params p;
+    p.*field = v;
+    EXPECT_THROW(xr::FederationSim(sim, p), std::invalid_argument) << v;
+  }
+  for (const double v : good) {
+    xr::FederationSim::Params p;
+    p.*field = v;
+    EXPECT_NO_THROW(xr::FederationSim(sim, p)) << v;
+  }
+}
+}  // namespace
+
+TEST(FederationSim, NonPositiveOrNonFiniteCampusUplinkRejected) {
+  expect_rejected(&xr::FederationSim::Params::campus_uplink_rate,
+                  {0.0, -1.0, kInf, kNaN}, {1.0});
+}
+
+TEST(FederationSim, NonPositiveOrNonFinitePerStreamRateRejected) {
+  expect_rejected(&xr::FederationSim::Params::per_stream_rate,
+                  {0.0, -1.0, kInf, kNaN}, {1.0});
+}
+
+TEST(FederationSim, NegativeOrNonFiniteOpenLatencyRejected) {
+  expect_rejected(&xr::FederationSim::Params::open_latency,
+                  {-1.0, kInf, kNaN}, {0.0, 2.5});
+}
+
+TEST(FederationSim, NegativeOrNonFiniteOpenFailDelayRejected) {
+  expect_rejected(&xr::FederationSim::Params::open_fail_delay,
+                  {-1.0, kInf, kNaN}, {0.0, 2.5});
 }
 
 // ------------------------------------------------------------ multi-path ----
@@ -271,6 +321,104 @@ TEST(FederationMultiPath, BadTopologyRejected) {
   EXPECT_THROW(xr::FederationSim(sim, bad_idx), std::invalid_argument);
   xr::FederationSim fed(sim, two_path_params(xr::PathPolicy::LeastLoaded));
   EXPECT_THROW(fed.schedule_path_outage(9, 0.0, 1.0), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ path choice ----
+
+namespace {
+using Key = std::pair<double, double>;
+
+// Per path, the least-loaded ranking key (most-loaded hop, uplink), where
+// a hop's load is per_stream_rate * active_flows / capacity; none for a
+// path that is down.
+std::vector<std::optional<Key>> path_keys(xr::FederationSim& fed,
+                                          const xr::FederationSim::Params& p) {
+  const auto load = [&p](const des::BandwidthLink& l) {
+    if (l.capacity() <= 0.0) return kInf;
+    return p.per_stream_rate * static_cast<double>(l.active_flows()) /
+           l.capacity();
+  };
+  std::vector<std::optional<Key>> keys(fed.num_paths());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (fed.path_down(i)) continue;
+    const double up = load(fed.path_link(i));
+    keys[i] = Key{p.trunks.empty()
+                      ? up
+                      : std::max(up, load(fed.trunk_link(p.paths[i].trunk))),
+                  up};
+  }
+  return keys;
+}
+
+// The oracle for the federation's flat scan: the first path up, or the
+// least key by std::pair's operator< in path order (lowest index on ties).
+std::size_t reference_pick(const std::vector<std::optional<Key>>& keys,
+                           xr::PathPolicy policy) {
+  std::size_t best = keys.size();
+  Key best_key{kInf, kInf};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (!keys[i]) continue;
+    if (policy == xr::PathPolicy::FirstAvailable) return i;
+    if (*keys[i] < best_key) {
+      best_key = *keys[i];
+      best = i;
+    }
+  }
+  return best;
+}
+}  // namespace
+
+// Seeded draws of active counts, capacities (zero included), trunk sharing
+// and path and global outages, from small value sets so that equal keys
+// are common: on every draw the federation picks the oracle's path.
+TEST(FederationPick, FlatScanMatchesPairComparison) {
+  const lobster::util::Rng root(2015);
+  const double rates[] = {0.0, 1e8, 2e8, 4e8};
+  int tied = 0;
+  int all_down = 0;
+  for (std::uint64_t draw = 0; draw < 3000; ++draw) {
+    lobster::util::Rng rng = root.stream("pick", draw);
+    xr::FederationSim::Params p;
+    p.per_stream_rate = rng.chance(0.5) ? 1e7 : 3e7;
+    p.path_policy = rng.chance(0.2) ? xr::PathPolicy::FirstAvailable
+                                    : xr::PathPolicy::LeastLoaded;
+    if (rng.chance(0.9)) {  // else the campus path alone
+      const std::int64_t trunks = rng.uniform_int(1, 3);
+      for (std::int64_t t = 0; t < trunks; ++t)
+        p.trunks.push_back({"wan", rates[rng.uniform_int(1, 3)]});
+      for (std::int64_t i = rng.uniform_int(1, 8); i > 0; --i)
+        p.paths.push_back(
+            {"site", rates[rng.uniform_int(1, 3)],
+             static_cast<std::size_t>(rng.uniform_int(0, trunks - 1))});
+    }
+    des::Simulation sim;
+    xr::FederationSim fed(sim, p);
+    const auto load_up = [&rng, &rates](des::BandwidthLink& l) {
+      for (std::int64_t k = rng.uniform_int(0, 4); k > 0; --k)
+        (void)l.start_flow(1e12, 1e6);
+      if (rng.chance(0.2)) l.set_capacity(rates[rng.uniform_int(0, 3)]);
+    };
+    for (std::size_t i = 0; i < fed.num_paths(); ++i) {
+      load_up(fed.path_link(i));
+      if (rng.chance(0.15)) fed.schedule_path_outage(i, 0.0, 10.0);
+    }
+    for (std::size_t t = 0; t < p.trunks.size(); ++t)
+      load_up(fed.trunk_link(t));
+    if (rng.chance(0.03)) fed.schedule_outage(0.0, 10.0);
+    sim.run_until(0.0);  // apply the outages and flush the joins
+
+    const std::vector<std::optional<Key>> keys = path_keys(fed, p);
+    const std::size_t want = reference_pick(keys, p.path_policy);
+    ASSERT_EQ(fed.pick_path(), want) << "draw " << draw;
+    if (want == keys.size())
+      ++all_down;
+    else if (p.path_policy == xr::PathPolicy::LeastLoaded &&
+             std::count(keys.begin(), keys.end(), keys[want]) > 1)
+      ++tied;
+  }
+  // The draws reach the cases the tie-break and the down checks decide.
+  EXPECT_GT(tied, 100);
+  EXPECT_GT(all_down, 20);
 }
 
 // ------------------------------------------------------------ real client ----
