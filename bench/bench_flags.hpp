@@ -12,14 +12,18 @@
 //     else if (args.flag() == "--mode") mode = args.text();
 //     else args.usage();
 //   }
+//
+// The campaign benches take only --seeds/--jobs: campaign_flags().
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "lobsim/campaign.hpp"
 #include "util/parse.hpp"
 
 namespace lobster::benchflags {
@@ -79,6 +83,18 @@ class Args {
   const char* line_;
   int i_ = 0;
 };
+
+/// lobsim::parse_campaign_flags, with a rejected flag or value ending in
+/// the usage line instead of an uncaught exception.
+inline lobsim::CampaignOptions campaign_flags(int argc, char** argv,
+                                              std::uint64_t base_seed,
+                                              std::size_t default_seeds = 1) {
+  try {
+    return lobsim::parse_campaign_flags(argc, argv, base_seed, default_seeds);
+  } catch (const std::invalid_argument& e) {
+    usage(argv[0], "[--seeds N] [--jobs M]", e.what());
+  }
+}
 
 /// The flags fig10 and fig11 share.  cores/tasklets 0 = the scenario's own.
 struct TimelineFlags {

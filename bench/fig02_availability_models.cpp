@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "lobsim/campaign.hpp"
 #include "lobsim/scenarios.hpp"
 #include "util/table.hpp"
@@ -46,13 +47,7 @@ lobsim::RunSpec base_spec() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lobsim::CampaignOptions opts;
-  try {
-    opts = lobsim::parse_campaign_flags(argc, argv, 2015, 3);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  const auto opts = benchflags::campaign_flags(argc, argv, 2015, 3);
 
   std::puts("=== Figure 2 companion: availability-model sweep ===");
   std::printf("512 opportunistic cores, 1000 six-tasklet tasks, %zu seed%s"

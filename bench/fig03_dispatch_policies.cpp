@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "lobsim/campaign.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -71,13 +72,7 @@ std::vector<Climate> climates() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lobsim::CampaignOptions opts;
-  try {
-    opts = lobsim::parse_campaign_flags(argc, argv, 2015, 3);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  const auto opts = benchflags::campaign_flags(argc, argv, 2015, 3);
 
   std::puts("=== Figure 3 companion: dispatch-policy x climate sweep ===");
   std::printf("512 opportunistic cores, 1000 six-tasklet tasks, %zu seed%s"

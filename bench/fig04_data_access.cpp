@@ -12,6 +12,7 @@
 // reports mean +/- stddev; `--jobs M` executes the runs M-wide.
 #include <cstdio>
 
+#include "bench_flags.hpp"
 #include "lobsim/campaign.hpp"
 #include "lobsim/scenarios.hpp"
 #include "util/table.hpp"
@@ -20,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace lobster;
 
-  const auto opts = lobsim::parse_campaign_flags(argc, argv, 2015);
+  const auto opts = benchflags::campaign_flags(argc, argv, 2015);
 
   std::puts("=== Figure 4: Data Access Methods Compared ===");
   std::puts("512 cores, 500 tasks, 300 MB/tasklet inputs; staging transfers");

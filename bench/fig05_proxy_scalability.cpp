@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "lobsim/campaign.hpp"
 #include "lobsim/scenarios.hpp"
 #include "util/table.hpp"
@@ -22,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace lobster;
 
-  const auto opts = lobsim::parse_campaign_flags(argc, argv, 2015);
+  const auto opts = benchflags::campaign_flags(argc, argv, 2015);
 
   std::puts("=== Figure 5: Proxy Cache Scalability ===");
   std::puts("Concurrent tasks sharing one squid (10 Gbit/s service, 1 Gbit/s");

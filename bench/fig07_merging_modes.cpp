@@ -12,6 +12,7 @@
 // `--jobs M` executes the 3xN runs M-wide.
 #include <cstdio>
 
+#include "bench_flags.hpp"
 #include "lobsim/campaign.hpp"
 #include "lobsim/scenarios.hpp"
 #include "util/table.hpp"
@@ -20,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace lobster;
 
-  const auto opts = lobsim::parse_campaign_flags(argc, argv, 2015);
+  const auto opts = benchflags::campaign_flags(argc, argv, 2015);
 
   std::puts("=== Figure 7: Merging Modes Compared ===");
   std::puts("1024 cores, 1500 analysis tasks, 360 MB output each, merged to");

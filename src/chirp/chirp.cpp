@@ -82,7 +82,6 @@ void ChirpServer::Session::put(const std::string& path, std::string content) {
     throw ChirpError("chirp: ticket lacks write right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  ++server_->requests_;
   util::bump(server_->ctr_requests_);
   server_->bytes_in_ += static_cast<double>(content.size());
   util::bump(server_->ctr_bytes_in_, static_cast<double>(content.size()));
@@ -95,7 +94,6 @@ void ChirpServer::Session::append(const std::string& path,
     throw ChirpError("chirp: ticket lacks write right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  ++server_->requests_;
   util::bump(server_->ctr_requests_);
   server_->bytes_in_ += static_cast<double>(content.size());
   util::bump(server_->ctr_bytes_in_, static_cast<double>(content.size()));
@@ -107,7 +105,6 @@ std::string ChirpServer::Session::get(const std::string& path) const {
     throw ChirpError("chirp: ticket lacks read right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  ++server_->requests_;
   util::bump(server_->ctr_requests_);
   const std::string& content = server_->file(path);
   server_->bytes_out_ += static_cast<double>(content.size());
@@ -120,7 +117,6 @@ FileInfo ChirpServer::Session::stat(const std::string& path) const {
     throw ChirpError("chirp: ticket lacks read right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  ++server_->requests_;
   util::bump(server_->ctr_requests_);
   return FileInfo{path, server_->file(path).size()};
 }
@@ -131,7 +127,6 @@ std::vector<FileInfo> ChirpServer::Session::list(
     throw ChirpError("chirp: ticket lacks list right");
   server_->check_scope(scope_, prefix);
   std::lock_guard lock(server_->mutex_);
-  ++server_->requests_;
   util::bump(server_->ctr_requests_);
   std::vector<FileInfo> out;
   const auto& files = server_->files_;
@@ -147,15 +142,9 @@ void ChirpServer::Session::remove(const std::string& path) {
     throw ChirpError("chirp: ticket lacks write right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  ++server_->requests_;
   util::bump(server_->ctr_requests_);
   if (server_->files_.erase(path) == 0)
     throw ChirpError("chirp: no such file " + path);
-}
-
-std::uint64_t ChirpServer::total_requests() const {
-  std::lock_guard lock(mutex_);
-  return requests_;
 }
 
 double ChirpServer::bytes_in() const {

@@ -102,7 +102,6 @@ class ChirpServer {
   /// connection limit; throws ChirpError on an unknown ticket.
   Session connect(const std::string& ticket);
 
-  [[nodiscard]] std::uint64_t total_requests() const;
   [[nodiscard]] double bytes_in() const;
   [[nodiscard]] double bytes_out() const;
   [[nodiscard]] std::size_t num_files() const;
@@ -127,7 +126,6 @@ class ChirpServer {
   };
   std::map<std::string, Ticket> tickets_ LOBSTER_GUARDED_BY(mutex_);
   std::uint64_t next_ticket_ LOBSTER_GUARDED_BY(mutex_) = 1;
-  std::uint64_t requests_ LOBSTER_GUARDED_BY(mutex_) = 0;
   double bytes_in_ LOBSTER_GUARDED_BY(mutex_) = 0.0;
   double bytes_out_ LOBSTER_GUARDED_BY(mutex_) = 0.0;
   util::Counter* ctr_requests_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
@@ -157,7 +155,7 @@ class ChirpSim {
   [[nodiscard]] double bytes_in() const { return bytes_in_; }
   [[nodiscard]] double bytes_out() const { return bytes_out_; }
   /// Mean over completed requests of (wall time / unloaded time) — a
-  /// direct overload indicator used by the monitoring advisor.
+  /// direct overload indicator.
   double mean_slowdown() const;
 
  private:

@@ -48,26 +48,4 @@ std::vector<Tasklet> decompose(const dbs::Dataset& dataset,
   return out;
 }
 
-std::vector<Tasklet> decompose_simulation(std::uint64_t total_events,
-                                          std::uint64_t events_per_tasklet,
-                                          double bytes_per_event) {
-  if (events_per_tasklet == 0)
-    throw std::invalid_argument("decompose: events_per_tasklet must be > 0");
-  std::vector<Tasklet> out;
-  std::uint64_t next_id = 1;
-  for (std::uint64_t done = 0; done < total_events;
-       done += events_per_tasklet) {
-    Tasklet t;
-    t.id = next_id++;
-    t.input_lfn = "";  // generated, not read
-    t.events = std::min<std::uint64_t>(events_per_tasklet,
-                                       total_events - done);
-    t.input_bytes = 0.0;
-    t.expected_output_bytes =
-        static_cast<double>(t.events) * bytes_per_event;
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
 }  // namespace lobster::core

@@ -57,10 +57,4 @@ struct DecompositionSpec {
 std::vector<Tasklet> decompose(const dbs::Dataset& dataset,
                                const DecompositionSpec& spec);
 
-/// A simulation workflow has no input dataset: tasklets are "generate N
-/// events" units.
-std::vector<Tasklet> decompose_simulation(std::uint64_t total_events,
-                                          std::uint64_t events_per_tasklet,
-                                          double bytes_per_event);
-
 }  // namespace lobster::core

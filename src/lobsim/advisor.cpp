@@ -69,7 +69,6 @@ std::vector<AdvisorDecision> Advisor::tick(double now,
                                            const core::Monitor& monitor,
                                            const AdvisorGauges& gauges,
                                            AdvisorActions& actions) {
-  ++ticks_;
   std::vector<AdvisorDecision> out;
 
   // Window = cumulative aggregates minus the previous tick's (the
@@ -116,7 +115,6 @@ std::vector<AdvisorDecision> Advisor::tick(double now,
       if (next < cur) {
         cap_ = next;
         actions.set_task_size_cap(cap_);
-        ++shrinks_;
         out.push_back({AdvisorDecision::Kind::Shrink, d.rule,
                        static_cast<double>(cap_), d.severity});
       }
@@ -166,10 +164,8 @@ std::vector<AdvisorDecision> Advisor::tick(double now,
     cause_ = desired_cause;
     cause_proxy_ = desired_proxy;
     apply_share(desired, actions);
-    const bool drain = desired == 0.0;
-    if (drain) ++drains_; else ++throttles_;
-    out.push_back({drain ? AdvisorDecision::Kind::Drain
-                         : AdvisorDecision::Kind::Throttle,
+    out.push_back({desired == 0.0 ? AdvisorDecision::Kind::Drain
+                                  : AdvisorDecision::Kind::Throttle,
                    desired_cause, desired, desired_sev});
   } else if (share_ < 1.0) {
     // Recovery with hysteresis: the causing symptom must sink below
@@ -203,7 +199,6 @@ std::vector<AdvisorDecision> Advisor::tick(double now,
       }
       if (next > share_) {
         apply_share(next, actions);
-        ++restores_;
         out.push_back({AdvisorDecision::Kind::Restore, cause_, next, 0.0});
       }
     }

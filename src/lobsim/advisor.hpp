@@ -113,11 +113,6 @@ class Advisor {
                                     AdvisorActions& actions);
 
   [[nodiscard]] const AdvisorConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
-  [[nodiscard]] std::uint64_t shrinks() const { return shrinks_; }
-  [[nodiscard]] std::uint64_t throttles() const { return throttles_; }
-  [[nodiscard]] std::uint64_t drains() const { return drains_; }
-  [[nodiscard]] std::uint64_t restores() const { return restores_; }
   /// Current task-size cap (0 = none) and dispatch share.
   [[nodiscard]] std::uint32_t task_size_cap() const { return cap_; }
   [[nodiscard]] double dispatch_share() const { return share_; }
@@ -147,12 +142,6 @@ class Advisor {
   double proxy_frac_ = 0.0;  ///< last window's thrashed/served fraction
 
   util::EwmaRate failure_ewma_;
-
-  std::uint64_t ticks_ = 0;
-  std::uint64_t shrinks_ = 0;
-  std::uint64_t throttles_ = 0;
-  std::uint64_t drains_ = 0;
-  std::uint64_t restores_ = 0;
 };
 
 }  // namespace lobster::lobsim

@@ -155,7 +155,6 @@ std::optional<TaskUnit> StealingDispatch::next(const DispatchContext& ctx) {
   tasklets_pending_ -= t.n_tasklets;
   t.stolen = true;
   t.victim_site = victim;
-  ++stolen_;
   return t;
 }
 

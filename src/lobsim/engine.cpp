@@ -21,6 +21,30 @@ constexpr int kExitEvicted = 179;
 // pulls again only on instants this far apart (it parks in between).
 constexpr double kIdleRetryDelay = 60.0;
 
+// Software working set (cold cache cost; paper: ~1.5 GB per cache), split
+// into a head every task shares and a per-task tail.
+constexpr double kReleaseSharedBytes = 1.3e9;
+constexpr double kReleaseTailBytes = 0.2e9;
+// Hot-cache per-task setup traffic (catalog checks, small misses).
+constexpr double kHotSetupBytes = 25.0e6;
+// A slot that just watched its task fail backs off before pulling new work
+// (the wrapper's retry discipline; damps outage retry storms).
+constexpr double kFailureBackoff = 300.0;
+// Foreman fan-out: sandboxes and task payloads reach workers through
+// kNumForemen intermediaries, each with kForemanUplinkRate of outbound
+// bandwidth (paper §3: "one intermediate rank of four foremen").
+constexpr std::size_t kNumForemen = 4;
+constexpr double kForemanUplinkRate = 1.25e8;  // 1 Gbit/s each
+// Merge task transfer behaviour: inputs via XrootD, outputs via Chirp
+// (paper §4.4); CPU cost per merged byte is negligible.
+constexpr double kMergeCpuPerGb = 10.0;
+// Hadoop-mode merging: concurrent reducers, their HDFS-local rate, and the
+// per-reducer overhead of transferring the small files to the local machine
+// and creating the HEP environment there (paper §4.4).
+constexpr std::int64_t kHadoopReduceSlots = 16;
+constexpr double kHadoopLocalRate = 2.5e8;
+constexpr double kHadoopReduceSetup = 240.0;
+
 // Charges the simulated time elapsed in its scope to one segment of a
 // TaskRecord — on normal exit AND on exception unwind.  Without this, a
 // segment that aborts mid-flight (squid connect timeout, stream-open
@@ -74,8 +98,7 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
       workload_(std::move(workload)),
       rng_(seed) {
   foreman_fanout_ = std::make_unique<des::BandwidthLink>(
-      sim_, static_cast<double>(std::max<std::size_t>(1, cluster_.num_foremen)) *
-                cluster_.foreman_uplink_rate);
+      sim_, static_cast<double>(kNumForemen) * kForemanUplinkRate);
   chirp_ = std::make_unique<chirp::ChirpSim>(sim_, cluster_.chirp);
   sites_ = std::make_unique<SiteManager>(sim_, cluster_, rng_);
   per_site_tasklets_.assign(sites_->num_sites(), 0);
@@ -413,8 +436,7 @@ des::Process Engine::core_slot(NodeHandle handle, std::size_t slot) {
                  record.segment_time[s]);
       span.end();
     }
-    if (failed && workload_.failure_backoff > 0.0)
-      co_await sim_.delay(workload_.failure_backoff);
+    if (failed) co_await sim_.delay(kFailureBackoff);
   }
 }
 
@@ -433,8 +455,8 @@ des::Task<void> Engine::setup_software(WorkerNode& node, std::size_t slot,
   // (PerInstance re-downloads it in every cache directory).
   auto populate = [&]() -> des::Task<void> {
     const bool proxy_hot = squid.note_request("release-head");
-    co_await squid.fetch(workload_.release_shared_bytes, proxy_hot);
-    co_await squid.fetch(workload_.release_tail_bytes, false);
+    co_await squid.fetch(kReleaseSharedBytes, proxy_hot);
+    co_await squid.fetch(kReleaseTailBytes, false);
   };
 
   if (mode == cvmfs::CacheMode::PerInstance) {
@@ -479,9 +501,9 @@ des::Task<void> Engine::setup_software(WorkerNode& node, std::size_t slot,
   // the exclusive discipline even these accesses take the write lock.
   if (mode == cvmfs::CacheMode::Exclusive) {
     auto lock = co_await node.cache_lock->acquire();
-    co_await squid.fetch(workload_.hot_setup_bytes, true);
+    co_await squid.fetch(kHotSetupBytes, true);
   } else {
-    co_await squid.fetch(workload_.hot_setup_bytes, true);
+    co_await squid.fetch(kHotSetupBytes, true);
   }
 }
 
@@ -511,8 +533,7 @@ des::Task<bool> Engine::run_task(WorkerNode& node, std::size_t slot,
       mark_evicted();
       co_return false;
     }
-    const double cpu =
-        workload_.merge_cpu_per_gb * task.merge_input_bytes / 1e9;
+    const double cpu = kMergeCpuPerGb * task.merge_input_bytes / 1e9;
     {
       util::Span s = sim_.tracer().span("segment", "execute", track);
       co_await sim_.delay(cpu);
@@ -567,11 +588,11 @@ des::Task<bool> Engine::run_task(WorkerNode& node, std::size_t slot,
       s.arg("bytes", wan_bytes);
       SegmentCharge charge(sim_, record, core::Segment::StageIn);
       co_await sites_->squid(node.site, node.squid)
-          .fetch(workload_.hot_setup_bytes, false);
+          .fetch(kHotSetupBytes, false);
       if (wan_bytes > 0.0)
         co_await sites_->federation(node.site).stage(wan_bytes);
     }
-    const double charged = wan_bytes + workload_.hot_setup_bytes;
+    const double charged = wan_bytes + kHotSetupBytes;
     metrics_->steal_bytes_penalty += charged;
     util::bump(ctr_steal_bytes_penalty_, charged);
     if (evicted_now()) {
@@ -789,7 +810,7 @@ des::Process Engine::hadoop_merge() {
   // or WAN involvement.
   std::vector<double> groups = planner_->take_hadoop_groups();
 
-  des::Resource slots(sim_, workload_.hadoop_reduce_slots);
+  des::Resource slots(sim_, kHadoopReduceSlots);
   std::vector<des::ProcessRef> reducers;
   auto reducer = [](Engine* self, des::Resource& res, double bytes,
                     std::size_t index) -> des::Process {
@@ -803,8 +824,7 @@ des::Process Engine::hadoop_merge() {
       util::Span span = self->sim_.tracer().span(
           "task", "hadoop_reduce", (1ULL << 40) | index);
       span.arg("bytes", bytes);
-      co_await self->sim_.delay(self->workload_.hadoop_reduce_setup +
-                                bytes / self->workload_.hadoop_local_rate);
+      co_await self->sim_.delay(kHadoopReduceSetup + bytes / kHadoopLocalRate);
     }
     const double now = self->sim_.now();
     ++self->metrics_->merge_tasks_completed;

@@ -13,7 +13,8 @@
 //   SiteManager    — batch-system ramp, worker lifecycle, eviction models
 //                    (site_manager.hpp; also owns ClusterParams/SiteParams);
 //   DispatchPolicy — task construction from the pending pools
-//                    (dispatch_policy.hpp: fifo / tail-shrink / site-aware);
+//                    (dispatch_policy.hpp: fifo / tail-shrink / site-aware /
+//                    lifetime / partitioned / stealing);
 //   MergePlanner   — output-merge planning
 //                    (merge_planner.hpp: sequential / hadoop / interleaved).
 //
@@ -62,21 +63,12 @@ struct WorkloadParams {
   /// Output volume produced per tasklet.
   double tasklet_output_bytes = 15.0e6;
   core::DataAccessMode access = core::DataAccessMode::Stream;
-  /// Software working set (cold cache cost; paper: ~1.5 GB per cache),
-  /// split into a head every task shares and a per-task tail.
-  double release_shared_bytes = 1.3e9;
-  double release_tail_bytes = 0.2e9;
-  /// Hot-cache per-task setup traffic (catalog checks, small misses).
-  double hot_setup_bytes = 25.0e6;
   cvmfs::CacheMode cache_mode = cvmfs::CacheMode::Alien;
   /// Per-tasklet extra input for simulation workloads (pile-up overlay).
   double pileup_bytes = 5.0e6;
   /// Per-task payload sent from the master through the foremen (sandbox,
   /// configuration, input manifests) — the "WQ Stage In" row of Figure 8.
   double sandbox_bytes = 50.0e6;
-  /// A slot that just watched its task fail backs off before pulling new
-  /// work (the wrapper's retry discipline; damps outage retry storms).
-  double failure_backoff = 300.0;
   /// Task-construction policy (dispatch_policy.hpp).  Fifo mirrors the
   /// production system the paper measured.
   DispatchMode dispatch = DispatchMode::Fifo;
@@ -95,15 +87,6 @@ struct WorkloadParams {
 
   core::MergeMode merge_mode = core::MergeMode::Interleaved;
   core::MergePolicy merge_policy;
-  /// Merge task transfer behaviour: inputs via XrootD, outputs via Chirp
-  /// (paper §4.4); CPU cost per merged byte is negligible.
-  double merge_cpu_per_gb = 10.0;
-  /// Hadoop-mode merging: concurrent reducers, their HDFS-local rate, and
-  /// the per-reducer overhead of transferring the small files to the local
-  /// machine and creating the HEP environment there (paper §4.4).
-  std::int64_t hadoop_reduce_slots = 16;
-  double hadoop_local_rate = 2.5e8;
-  double hadoop_reduce_setup = 240.0;
 };
 
 /// Scalar outcome of one run.  Campaign results carry it and EngineMetrics
@@ -182,14 +165,12 @@ class Engine {
   /// Returns the collected metrics.
   const EngineMetrics& run(double time_cap = 10.0 * 86400.0);
 
-  [[nodiscard]] const EngineMetrics& metrics() const { return *metrics_; }
   des::Simulation& sim() { return sim_; }
   /// Home-site federation (site 0).
   xrootd::FederationSim& federation() { return sites_->federation(0); }
   xrootd::FederationSim& federation(std::size_t site) {
     return sites_->federation(site);
   }
-  des::BandwidthLink& foreman_fanout() { return *foreman_fanout_; }
   chirp::ChirpSim& chirp() { return *chirp_; }
   /// Home-site squids (site 0).
   cvmfs::SquidSim& squid(std::size_t i) { return sites_->squid(0, i); }

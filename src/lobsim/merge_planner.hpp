@@ -1,9 +1,8 @@
 // merge_planner.hpp — output-merge planning, extracted from the Engine.
 //
 // Completed analysis outputs (10-100 MB each; paper §4.4) must be merged
-// into 3-4 GB files before publication.  The Engine used to interleave the
-// three strategies inside maybe_plan_merges(); each now lives behind one
-// interface so the Figure 7 comparison is a policy swap:
+// into 3-4 GB files before publication.  Each of the three strategies lives
+// behind one interface, so the Figure 7 comparison is a policy swap:
 //
 //  * Sequential  — no merge tasks until every analysis task is done, then
 //                  the whole pool is grouped and dispatched like analysis;
@@ -68,8 +67,6 @@ class MergePlanner {
   /// Hadoop: drain the pool into reduce groups near the target size (the
   /// map phase of the §4.4 job).  Leaves the pool empty.
   std::vector<double> take_hadoop_groups();
-
-  const core::MergePolicy& policy() const { return policy_; }
 
  protected:
   explicit MergePlanner(const core::MergePolicy& policy) : policy_(policy) {}

@@ -26,8 +26,6 @@ DataProcessingScenario data_processing_scenario() {
   s.cluster.squid.max_connections = 2000;
   s.cluster.chirp.max_connections = 24;
   s.cluster.chirp.nic_rate = 8.0e8;
-  s.cluster.num_foremen = 4;
-  s.cluster.foreman_uplink_rate = 1.25e8;
   s.cluster.federation.open_fail_delay = 300.0;
 
   // Workload: tasklets N(10, 5) min (the §4.1 distribution), 6 per task
@@ -42,7 +40,6 @@ DataProcessingScenario data_processing_scenario() {
   s.workload.read_fraction = 0.28;
   s.workload.tasklet_output_bytes = 20e6;
   s.workload.sandbox_bytes = 190e6;
-  s.workload.failure_backoff = 300.0;
   s.workload.access = core::DataAccessMode::Stream;
   s.workload.merge_mode = core::MergeMode::Interleaved;
   s.workload.merge_policy.target_bytes = 3.5e9;

@@ -4,11 +4,15 @@
 
 namespace lobster::lobsim {
 
+namespace {
+// Evicted workers return after an exponential backoff with this mean.
+constexpr double kRejoinMeanSeconds = 1800.0;
+}  // namespace
+
 SiteManager::SiteManager(des::Simulation& sim, const ClusterParams& cluster,
                          const util::Rng& rng)
     : sim_(sim),
       cores_per_worker_(std::max<std::size_t>(1, cluster.cores_per_worker)),
-      rejoin_mean_seconds_(cluster.rejoin_mean_seconds),
       rng_(rng) {
   // Site 0 is always the home campus; extra_sites are harvested alongside
   // it (paper §7), each with its own WAN path, squids and eviction climate.
@@ -124,7 +128,7 @@ des::Process SiteManager::worker_life(NodeHandle handle) {
     node.alive = false;
     if (done_()) co_return;
     // Evicted: the batch system hands the node back after a backoff.
-    co_await sim_.delay(node.rng.exponential(rejoin_mean_seconds_));
+    co_await sim_.delay(node.rng.exponential(kRejoinMeanSeconds));
   }
 }
 

@@ -59,16 +59,8 @@ struct ClusterParams {
   /// Availability climate of the home site (availability.hpp: weibull /
   /// trace / diurnal / adversarial-burst).
   AvailabilityConfig availability;
-  /// Evicted workers return after an exponential backoff with this mean.
-  double rejoin_mean_seconds = 1800.0;
   /// When false, workers are dedicated (no eviction) — ablation switch.
   bool evictions = true;
-
-  /// Foreman fan-out: sandboxes and task payloads reach workers through
-  /// `num_foremen` intermediaries, each with `foreman_uplink_rate` of
-  /// outbound bandwidth (paper §3: "one intermediate rank of four foremen").
-  std::size_t num_foremen = 4;
-  double foreman_uplink_rate = 1.25e8;  // 1 Gbit/s each
 
   std::size_t num_squids = 1;
   cvmfs::SquidSim::Params squid;
@@ -169,11 +161,6 @@ class SiteManager {
   bool site_evictable(std::size_t site) const {
     return sites_.at(site).params.evictions;
   }
-  /// The site's availability climate (AlwaysAvailable when evictions are
-  /// off) — queryable by dispatch policies and benches.
-  const AvailabilityModel& availability(std::size_t site) const {
-    return *sites_.at(site).availability;
-  }
   /// Expected lifetime of a worker incarnation starting at `now` on
   /// `site` — the quantity the ROADMAP's expected-lifetime DispatchPolicy
   /// sizes tasks against (paper §4.1: "sized to the expected lifetime of
@@ -199,7 +186,6 @@ class SiteManager {
 
   des::Simulation& sim_;
   std::size_t cores_per_worker_;
-  double rejoin_mean_seconds_;
   util::Rng rng_;
   std::vector<Site> sites_;
   std::uint64_t total_slots_ = 0;

@@ -39,16 +39,6 @@ class Channel {
     return true;
   }
 
-  /// Non-blocking send; returns false when full or closed.
-  bool try_send(T item) LOBSTER_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock lock(mutex_);
-    if (closed_ || (capacity_ != 0 && queue_.size() >= capacity_)) return false;
-    queue_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available or the channel is closed and empty.
   std::optional<T> receive() LOBSTER_NO_THREAD_SAFETY_ANALYSIS {
     std::unique_lock lock(mutex_);

@@ -209,20 +209,6 @@ double Config::get_size(const std::string& section, const std::string& key,
   return parse_size(*v);
 }
 
-std::vector<std::string> Config::get_list(const std::string& section,
-                                          const std::string& key) const {
-  std::vector<std::string> out;
-  const auto v = get(section, key);
-  if (!v) return out;
-  std::istringstream in(*v);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 std::string Config::to_string() const {
   std::ostringstream out;
   for (const auto& [section, kv] : data_) {

@@ -52,9 +52,6 @@ class Config {
   /// KiB/MiB/GiB/TiB (binary), case-insensitive.
   double get_size(const std::string& section, const std::string& key,
                   double fallback_bytes = 0.0) const;
-  /// Comma-separated list, trimmed.
-  std::vector<std::string> get_list(const std::string& section,
-                                    const std::string& key) const;
 
   /// Serialise back to INI text (sections and keys sorted).
   std::string to_string() const;

@@ -137,23 +137,6 @@ double Rng::lognormal(double mu, double sigma) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-std::int64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    double prod = uniform();
-    std::int64_t n = 0;
-    while (prod > limit) {
-      prod *= uniform();
-      ++n;
-    }
-    return n;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double x = normal(mean, std::sqrt(mean));
-  return std::max<std::int64_t>(0, static_cast<std::int64_t>(std::lround(x)));
-}
-
 std::int64_t Rng::zipf(std::int64_t n, double s) {
   if (n <= 0) throw std::invalid_argument("zipf: n must be positive");
   if (n != zipf_n_ || s != zipf_s_) {
@@ -170,18 +153,6 @@ std::int64_t Rng::zipf(std::int64_t n, double s) {
   const double u = uniform();
   const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
   return 1 + static_cast<std::int64_t>(it - zipf_cdf_.begin());
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0.0)
-    throw std::invalid_argument("weighted_index: total weight must be > 0");
-  double u = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u <= 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples)
@@ -212,13 +183,6 @@ double EmpiricalDistribution::quantile(double q) const {
 
 double EmpiricalDistribution::sample(Rng& rng) const {
   return quantile(rng.uniform());
-}
-
-double EmpiricalDistribution::cdf(double x) const {
-  if (sorted_.empty()) return 0.0;
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
 }
 
 }  // namespace lobster::util

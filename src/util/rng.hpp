@@ -66,13 +66,8 @@ class Rng {
   double lognormal(double mu, double sigma);
   /// Bernoulli trial.
   bool chance(double p);
-  /// Poisson-distributed count with given mean (Knuth for small, normal
-  /// approximation for large means).
-  std::int64_t poisson(double mean);
   /// Zipf-distributed integer in [1, n] with exponent s (popularity ranks).
   std::int64_t zipf(std::int64_t n, double s);
-  /// Pick an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
  private:
   std::uint64_t s_[4];
@@ -104,8 +99,6 @@ class EmpiricalDistribution {
   double quantile(double q) const;
   /// Draw a value using the supplied generator.
   double sample(Rng& rng) const;
-  /// Empirical CDF evaluated at x.
-  double cdf(double x) const;
 
  private:
   std::vector<double> sorted_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace lobster::util {
 
@@ -49,35 +48,6 @@ std::string RunningStats::summary() const {
                 static_cast<unsigned long long>(n_), mean(), stddev(), min(),
                 max());
   return buf;
-}
-
-Reservoir::Reservoir(std::size_t capacity, Rng rng)
-    : capacity_(capacity), rng_(rng) {
-  if (capacity_ == 0) throw std::invalid_argument("Reservoir: capacity == 0");
-  data_.reserve(capacity_);
-}
-
-void Reservoir::add(double x) {
-  ++seen_;
-  if (data_.size() < capacity_) {
-    data_.push_back(x);
-    return;
-  }
-  const std::uint64_t j = static_cast<std::uint64_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(seen_) - 1));
-  if (j < capacity_) data_[static_cast<std::size_t>(j)] = x;
-}
-
-double Reservoir::quantile(double q) const {
-  if (data_.empty()) throw std::logic_error("Reservoir: empty");
-  scratch_ = data_;
-  std::sort(scratch_.begin(), scratch_.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(scratch_.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, scratch_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return scratch_[lo] * (1.0 - frac) + scratch_[hi] * frac;
 }
 
 }  // namespace lobster::util

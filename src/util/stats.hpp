@@ -1,13 +1,9 @@
 // stats.hpp — streaming statistics accumulators (Welford mean/variance,
-// min/max, reservoir of samples for percentiles) used by the monitoring
-// subsystem and the benches.
+// min/max) used by the monitoring subsystem and the benches.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace lobster::util {
 
@@ -33,26 +29,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Bounded reservoir sample supporting approximate percentiles over an
-/// unbounded stream (Vitter's algorithm R).  Deterministic given its Rng.
-class Reservoir {
- public:
-  explicit Reservoir(std::size_t capacity, Rng rng = Rng(42));
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t seen() const { return seen_; }
-  std::size_t size() const { return data_.size(); }
-  /// Approximate q-quantile (q in [0,1]) of the values seen so far.
-  double quantile(double q) const;
-
- private:
-  std::size_t capacity_;
-  Rng rng_;
-  std::uint64_t seen_ = 0;
-  std::vector<double> data_;
-  mutable std::vector<double> scratch_;
 };
 
 }  // namespace lobster::util

@@ -4,68 +4,10 @@ namespace lobster::wq {
 
 using namespace std::chrono_literals;
 
-// ---- StealGroup -------------------------------------------------------------
-
-void StealGroup::bind_counters(util::CounterRegistry& registry) {
-  ctr_attempts_ = &registry.counter("wq.steal.attempts");
-  ctr_stolen_ = &registry.counter("wq.steal.tasks");
-}
-
-void StealGroup::add(Foreman* member) {
-  std::lock_guard lock(mutex_);
-  members_.push_back(member);
-}
-
-void StealGroup::remove(Foreman* member) {
-  // Taking the mutex waits out any steal_for() currently touching `member`,
-  // so after remove() returns no thief can reach it again.
-  std::lock_guard lock(mutex_);
-  std::erase(members_, member);
-}
-
-std::optional<TaskSpec> StealGroup::steal_for(const Foreman* thief) {
-  attempts_.fetch_add(1, std::memory_order_relaxed);
-  util::bump(ctr_attempts_);
-  std::lock_guard lock(mutex_);
-  // Victim selection is load-aware: deepest buffered backlog first, so the
-  // steal relieves the most congested sibling.
-  Foreman* victim = nullptr;
-  std::size_t deepest = 0;
-  for (Foreman* m : members_) {
-    if (m == thief) continue;
-    const std::size_t depth = m->queue_depth();
-    if (depth > deepest) {
-      deepest = depth;
-      victim = m;
-    }
-  }
-  if (victim == nullptr) return std::nullopt;
-  auto spec = victim->steal_one();
-  if (spec) {
-    stolen_.fetch_add(1, std::memory_order_relaxed);
-    util::bump(ctr_stolen_);
-  }
-  return spec;
-}
-
-bool StealGroup::siblings_drained(const Foreman* self) const {
-  std::lock_guard lock(mutex_);
-  for (const Foreman* m : members_) {
-    if (m == self) continue;
-    if (!m->local_drained()) return false;
-  }
-  return true;
-}
-
-// ---- Foreman ----------------------------------------------------------------
-
-Foreman::Foreman(std::string name, TaskSource& upstream, std::size_t window,
-                 StealGroup* steal)
+Foreman::Foreman(std::string name, TaskSource& upstream, std::size_t window)
     : name_(std::move(name)),
       upstream_(upstream),
-      local_(window == 0 ? 1 : window),
-      group_(steal) {
-  if (group_) group_->add(this);
+      local_(window == 0 ? 1 : window) {
   pump_thread_ = std::thread([this] { pump(); });
 }
 
@@ -79,10 +21,6 @@ void Foreman::bind_counters(util::CounterRegistry& registry) {
 
 void Foreman::shutdown() {
   stopping_.store(true, std::memory_order_release);
-  // Unregister before touching the window: remove() blocks until any
-  // in-flight steal against us finishes, so from here on every buffered
-  // task is ours alone to account for.
-  if (group_) group_->remove(this);
   // Close before joining: the pump may be blocked in a bounded send, which
   // close() unblocks (that one in-flight task is dropped and reported
   // below via the pump's own eviction path).
@@ -138,37 +76,15 @@ void Foreman::pump() {
 }
 
 std::optional<TaskSpec> Foreman::next_task(std::chrono::milliseconds wait) {
-  if (auto spec = local_.receive_for(wait)) {
+  auto spec = local_.receive_for(wait);
+  if (spec) {
     dispatched_.fetch_add(1, std::memory_order_acq_rel);
     util::bump(ctr_dispatched_);
-    return spec;
   }
-  // Local window empty: an idle foreman's workers may steal a buffered task
-  // from a sibling through the common ancestor's steal group.
-  if (group_ != nullptr && !stopping_.load(std::memory_order_acquire)) {
-    if (auto spec = group_->steal_for(this)) {
-      stolen_.fetch_add(1, std::memory_order_acq_rel);
-      return spec;
-    }
-    // Once our window is closed-and-empty receive_for returns immediately;
-    // back off so the worker loop doesn't hot-spin steal attempts while
-    // siblings finish draining.
-    if (local_.drained()) std::this_thread::sleep_for(1ms);
-  }
-  return std::nullopt;
-}
-
-bool Foreman::drained() const {
-  if (!local_.drained()) return false;
-  if (stopping_.load(std::memory_order_acquire)) return true;
-  return group_ == nullptr || group_->siblings_drained(this);
-}
-
-std::optional<TaskSpec> Foreman::steal_one() {
-  auto spec = local_.try_receive();
-  if (spec) stolen_from_.fetch_add(1, std::memory_order_acq_rel);
   return spec;
 }
+
+bool Foreman::drained() const { return local_.drained(); }
 
 void Foreman::deliver(TaskResult result) {
   results_.fetch_add(1, std::memory_order_acq_rel);

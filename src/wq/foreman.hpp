@@ -12,21 +12,12 @@
 // pulls are served from local state — spreading the load of sending out
 // sandboxes, which is exactly the remedy the monitoring section recommends
 // for "long sandbox stage-in times" (paper §5).
-//
-// Sibling foremen that share a common ancestor may join a StealGroup: an
-// idle leaf whose own window has drained pulls buffered-but-undispatched
-// TaskSpecs from the sibling with the deepest backlog.  Because a stolen
-// task's result is delivered through the thief back to the same ancestor,
-// the master's accounting stays exact; per-foreman ledgers record which
-// side of the steal each task landed on.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "util/channel.hpp"
 #include "util/thread_annotations.hpp"
@@ -35,59 +26,10 @@
 
 namespace lobster::wq {
 
-class Foreman;
-
-/// A registry of sibling foremen (same upstream ancestor) that are allowed
-/// to steal buffered tasks from each other.  Membership is mutex-guarded;
-/// a foreman unregisters itself at the start of shutdown(), and remove()
-/// waits out any in-flight steal targeting it, so a thief can never touch
-/// a dead sibling.
-class StealGroup {
- public:
-  StealGroup() = default;
-  StealGroup(const StealGroup&) = delete;
-  StealGroup& operator=(const StealGroup&) = delete;
-
-  /// One buffered task from the sibling with the deepest backlog, or
-  /// nullopt when no sibling has anything to give.  Counts the attempt
-  /// either way.
-  std::optional<TaskSpec> steal_for(const Foreman* thief);
-
-  /// True when every member other than `self` has a closed-and-empty
-  /// window — i.e. nothing is left anywhere in the group for `self`'s
-  /// workers to steal.
-  bool siblings_drained(const Foreman* self) const;
-
-  [[nodiscard]] std::uint64_t steal_attempts() const {
-    return attempts_.load();
-  }
-  [[nodiscard]] std::uint64_t tasks_stolen() const { return stolen_.load(); }
-
-  /// Attach the unified counter plane (wq.steal.*).  Optional.
-  void bind_counters(util::CounterRegistry& registry);
-
- private:
-  friend class Foreman;
-  void add(Foreman* member);
-  void remove(Foreman* member);
-
-  // Held while probing members' local queues (queue_depth / steal_one), so
-  // it sits above every Channel lock in the hierarchy; see DESIGN.md.
-  mutable std::mutex mutex_ LOBSTER_ACQUIRED_BEFORE(util::Channel::mutex_);
-  std::vector<Foreman*> members_ LOBSTER_GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> attempts_{0};
-  std::atomic<std::uint64_t> stolen_{0};
-  util::Counter* ctr_attempts_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_stolen_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-};
-
 class Foreman : public TaskSource {
  public:
-  /// Prefetch up to `window` tasks from `upstream`.  When `steal` is given
-  /// the foreman joins that group and its workers may steal from siblings
-  /// once the local window drains.
-  Foreman(std::string name, TaskSource& upstream, std::size_t window = 64,
-          StealGroup* steal = nullptr);
+  /// Prefetch up to `window` tasks from `upstream`.
+  Foreman(std::string name, TaskSource& upstream, std::size_t window = 64);
   ~Foreman() override;
   Foreman(const Foreman&) = delete;
   Foreman& operator=(const Foreman&) = delete;
@@ -96,61 +38,42 @@ class Foreman : public TaskSource {
 
   // ---- TaskSource for downstream workers ------------------------------------
   std::optional<TaskSpec> next_task(std::chrono::milliseconds wait) override;
-  /// Drained only when the local window is finished AND (if in a steal
-  /// group) no sibling has buffered work left to steal — otherwise this
-  /// foreman's workers would exit while stealable tasks still exist.
+  /// Drained once the local window is closed and empty.
   bool drained() const override;
   void deliver(TaskResult result) override;
 
   /// Stop pumping and release downstream pullers.  Called automatically on
-  /// destruction; safe to call early.  Unregisters from the steal group
-  /// first, then reports still-buffered tasks upward as evicted.
+  /// destruction; safe to call early.  Reports still-buffered tasks upward
+  /// as evicted.
   void shutdown();
 
   // ---- per-foreman ledger ----------------------------------------------------
   // Every task accepted into the local window (counted `relayed`) leaves it
-  // exactly one way: dispatched to an own worker, stolen by a sibling, or
-  // evicted at shutdown.  At quiescence:
-  //   tasks_relayed() == tasks_dispatched() + tasks_stolen_from()
-  //                      + tasks_evicted()
+  // exactly one way: dispatched to a worker or evicted at shutdown.  At
+  // quiescence:
+  //   tasks_relayed() == tasks_dispatched() + tasks_evicted()
   // A task whose bounded send is interrupted by shutdown never enters the
   // window: it is reported evicted upstream but appears in no local ledger.
   [[nodiscard]] std::uint64_t tasks_relayed() const { return relayed_.load(); }
   [[nodiscard]] std::uint64_t tasks_dispatched() const {
     return dispatched_.load();
   }
-  /// Tasks this foreman's workers stole from siblings.
-  [[nodiscard]] std::uint64_t tasks_stolen() const { return stolen_.load(); }
-  /// Tasks siblings stole out of this foreman's window.
-  [[nodiscard]] std::uint64_t tasks_stolen_from() const {
-    return stolen_from_.load();
-  }
   [[nodiscard]] std::uint64_t tasks_evicted() const { return evicted_.load(); }
   [[nodiscard]] std::uint64_t results_relayed() const { return results_.load(); }
-  [[nodiscard]] std::size_t queue_depth() const { return local_.size(); }
 
   /// Attach the unified counter plane (wq.foreman.*, aggregated across all
   /// foremen bound to the same registry).  Optional.
   void bind_counters(util::CounterRegistry& registry);
 
  private:
-  friend class StealGroup;
   void pump();
-  /// Pop one buffered task for a sibling thief (called under the group
-  /// mutex).  The channel pops atomically, so a spec goes to exactly one of
-  /// steal / dispatch / shutdown-eviction even mid-race.
-  std::optional<TaskSpec> steal_one();
-  bool local_drained() const { return local_.drained(); }
 
   std::string name_;
   TaskSource& upstream_;
   util::Channel<TaskSpec> local_;
-  StealGroup* group_ LOBSTER_NOT_GUARDED(immutable after construction);
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> relayed_{0};
   std::atomic<std::uint64_t> dispatched_{0};
-  std::atomic<std::uint64_t> stolen_{0};
-  std::atomic<std::uint64_t> stolen_from_{0};
   std::atomic<std::uint64_t> evicted_{0};
   std::atomic<std::uint64_t> results_{0};
   std::thread pump_thread_;

@@ -11,8 +11,8 @@
 //     the middle of Figure 10).
 //
 // FederationSim is the DES model used at 10k-core scale; RedirectorTable is
-// the real lookup structure shared by both the model and the in-process
-// client used by the wq:: runtime examples.
+// the real lookup structure behind the in-process Client that the wq::
+// runtime examples use.
 #pragma once
 
 #include <cstdint>
@@ -133,9 +133,6 @@ class FederationSim {
   [[nodiscard]] std::size_t num_paths() const { return path_links_.size(); }
   des::BandwidthLink& path_link(std::size_t i) { return *path_links_[i]; }
   des::BandwidthLink& trunk_link(std::size_t i) { return *trunk_links_[i]; }
-  const std::string& path_name(std::size_t i) const {
-    return params_.paths[i].name;
-  }
   /// Bytes delivered over path i (streams + stages), for per-site
   /// throughput breakdowns.
   [[nodiscard]] double path_bytes(std::size_t i) const {

@@ -73,19 +73,6 @@ TEST(Decompose, RejectsBadSpec) {
       std::invalid_argument);
 }
 
-TEST(DecomposeSimulation, EventQuota) {
-  const auto tasklets = core::decompose_simulation(1050, 100, 2e5);
-  ASSERT_EQ(tasklets.size(), 11u);
-  std::uint64_t events = 0;
-  for (const auto& t : tasklets) {
-    events += t.events;
-    EXPECT_TRUE(t.input_lfn.empty());
-    EXPECT_DOUBLE_EQ(t.input_bytes, 0.0);
-  }
-  EXPECT_EQ(events, 1050u);
-  EXPECT_EQ(tasklets.back().events, 50u);
-}
-
 // -------------------------------------------------------- task size model ----
 
 TEST(TaskSizeModel, NoEvictionApproachesOne) {

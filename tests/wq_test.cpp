@@ -330,8 +330,7 @@ TEST(Foreman, MidShutdownSendNotCountedRelayed) {
   EXPECT_EQ(foreman->tasks_dispatched(), 0u);
   EXPECT_EQ(master.evicted(), 3u);
   EXPECT_EQ(foreman->tasks_relayed(),
-            foreman->tasks_dispatched() + foreman->tasks_stolen_from() +
-                foreman->tasks_evicted());
+            foreman->tasks_dispatched() + foreman->tasks_evicted());
   // The workload still finishes: resubmit the evictions to a direct worker.
   wq::Worker worker("direct", master, 2);
   std::size_t completed = 0;
@@ -382,12 +381,10 @@ TEST(Foreman, DepthTwoTreePreservesAccounting) {
   EXPECT_EQ(hub.tasks_dispatched(),
             leaf_a.tasks_relayed() + leaf_b.tasks_relayed());
   EXPECT_EQ(hub.tasks_relayed(),
-            hub.tasks_dispatched() + hub.tasks_stolen_from() +
-                hub.tasks_evicted());
+            hub.tasks_dispatched() + hub.tasks_evicted());
   for (const wq::Foreman* leaf : {&leaf_a, &leaf_b}) {
     EXPECT_EQ(leaf->tasks_relayed(),
-              leaf->tasks_dispatched() + leaf->tasks_stolen_from() +
-                  leaf->tasks_evicted());
+              leaf->tasks_dispatched() + leaf->tasks_evicted());
     EXPECT_EQ(leaf->tasks_evicted(), 0u);
   }
   // Results climb back through both levels.
@@ -424,95 +421,6 @@ TEST(Foreman, DepthThreeChainRelaysAll) {
     EXPECT_EQ(f->tasks_evicted(), 0u);
   }
   EXPECT_EQ(master.completed(), static_cast<std::uint64_t>(kTasks));
-}
-
-TEST(StealGroup, IdleLeafStealsFromSibling) {
-  // Sibling leaves under one master: leaf-a has no workers, so its whole
-  // window must be stolen and run by leaf-b's workers through the group.
-  wq::Master master;
-  lobster::util::CounterRegistry registry;
-  constexpr int kTasks = 60;
-  std::atomic<int> executed{0};
-  for (int i = 0; i < kTasks; ++i)
-    master.submit(make_task(static_cast<std::uint64_t>(i),
-                            [&executed](wq::TaskContext&) {
-                              executed.fetch_add(1);
-                              return 0;
-                            }));
-  master.close_submission();
-  wq::StealGroup group;
-  group.bind_counters(registry);
-  wq::Foreman leaf_a("leaf-a", master, 32, &group);
-  wq::Foreman leaf_b("leaf-b", master, 8, &group);
-  wq::Worker worker("wb", leaf_b, 4);
-  const auto results = collect(master);
-  worker.join();
-  EXPECT_EQ(executed.load(), kTasks);
-  EXPECT_EQ(results.size(), static_cast<std::size_t>(kTasks));
-  for (const auto& r : results) EXPECT_TRUE(r.success());
-  // leaf-a dispatched nothing itself: every task it accepted was stolen.
-  EXPECT_GT(leaf_a.tasks_relayed(), 0u);
-  EXPECT_EQ(leaf_a.tasks_dispatched(), 0u);
-  EXPECT_EQ(leaf_a.tasks_stolen_from(), leaf_a.tasks_relayed());
-  EXPECT_EQ(leaf_b.tasks_stolen(), leaf_a.tasks_stolen_from());
-  EXPECT_EQ(group.tasks_stolen(), leaf_b.tasks_stolen());
-  EXPECT_GE(group.steal_attempts(), group.tasks_stolen());
-  EXPECT_EQ(registry.counter("wq.steal.tasks").value(), group.tasks_stolen());
-  // Ledger conservation on both siblings.
-  EXPECT_EQ(leaf_a.tasks_relayed(),
-            leaf_a.tasks_dispatched() + leaf_a.tasks_stolen_from() +
-                leaf_a.tasks_evicted());
-  EXPECT_EQ(leaf_b.tasks_relayed(),
-            leaf_b.tasks_dispatched() + leaf_b.tasks_stolen_from() +
-                leaf_b.tasks_evicted());
-  EXPECT_EQ(master.completed(), static_cast<std::uint64_t>(kTasks));
-}
-
-TEST(StealGroup, StealVsShutdownRaceKeepsAccountingExact) {
-  // Shut the victim down while the thief's workers are actively stealing
-  // from it.  Whatever the interleaving, each buffered task must land on
-  // exactly one side of the ledger (stolen_from XOR evicted), and the
-  // master's books must balance after the evictions are resubmitted.
-  for (int round = 0; round < 10; ++round) {
-    wq::Master master;
-    constexpr int kTasks = 40;
-    std::atomic<int> completions{0};
-    auto work = [&completions](wq::TaskContext&) {
-      std::this_thread::sleep_for(1ms);
-      completions.fetch_add(1);
-      return 0;
-    };
-    for (int i = 0; i < kTasks; ++i)
-      master.submit(make_task(static_cast<std::uint64_t>(i), work));
-
-    wq::StealGroup group;
-    auto victim = std::make_unique<wq::Foreman>("victim", master, 24, &group);
-    wq::Foreman thief("thief", master, 4, &group);
-    wq::Worker worker("wt", thief, 2);
-    // Let the victim buffer and the thief start stealing, then kill the
-    // victim mid-flight.
-    std::this_thread::sleep_for(5ms);
-    victim->shutdown();
-    EXPECT_EQ(victim->tasks_relayed(),
-              victim->tasks_dispatched() + victim->tasks_stolen_from() +
-                  victim->tasks_evicted())
-        << "a task was double-counted or lost across the steal/shutdown race";
-    // Resubmit evictions until the workload completes.
-    std::size_t done = 0, evicted = 0;
-    while (auto r = master.next_result()) {
-      if (r->evicted) {
-        ++evicted;
-        EXPECT_TRUE(master.submit(make_task(r->id, work)));
-      } else if (++done == kTasks) {
-        master.close_submission();
-      }
-    }
-    worker.join();
-    EXPECT_EQ(done, static_cast<std::size_t>(kTasks));
-    EXPECT_EQ(master.evicted(), evicted);
-    EXPECT_EQ(master.submitted(),
-              master.completed() + master.failed() + master.evicted());
-  }
 }
 
 TEST(Master, RejectedResubmitIsCountedNotSilent) {

@@ -92,8 +92,8 @@ struct ClassModel {
   std::set<std::string> mutexes;  ///< std::mutex/shared_mutex/... members
   /// member -> guarding mutex (LOBSTER_GUARDED_BY argument, normalized).
   std::map<std::string, std::string> guarded_by;
-  /// member -> simple class name of its declared type (Channel, StealGroup,
-  /// ...); only consulted when the name resolves to a modelled class.
+  /// member -> simple class name of its declared type (e.g. Channel); only
+  /// consulted when the name resolves to a modelled class.
   std::map<std::string, std::string> member_class;
   /// method name -> entry locks from LOBSTER_REQUIRES on the declaration.
   std::map<std::string, std::vector<LockRef>> method_requires;

@@ -717,7 +717,7 @@ class CounterPlaneRule final : public Rule {
   }
 
   /// Backticked tokens made of counter-name characters (dots mandatory);
-  /// `wq.steal.{attempts,tasks}` comes back verbatim for expand_braces.
+  /// `lobsim.steal.{attempts,tasks}` comes back verbatim for expand_braces.
   static std::vector<std::string> backticked_tokens(const std::string& line) {
     std::vector<std::string> out;
     std::size_t pos = 0;
@@ -738,7 +738,8 @@ class CounterPlaneRule final : public Rule {
     return out;
   }
 
-  /// `wq.steal.{attempts,tasks}` -> wq.steal.attempts, wq.steal.tasks.
+  /// `lobsim.steal.{attempts,tasks}` -> lobsim.steal.attempts,
+  /// lobsim.steal.tasks.
   static std::vector<std::string> expand_braces(const std::string& tok) {
     const std::size_t open = tok.find('{');
     if (open == std::string::npos) return {tok};
