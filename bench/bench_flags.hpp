@@ -1,99 +1,44 @@
-// bench_flags.hpp — strict command-line values for the figure benches.
-//
-// Every numeric flag goes through util::parse_int_strict /
-// parse_double_strict: a missing, malformed or out-of-range value prints
-// the bench's usage line and exits 2.  A lax parse would read "--cores x"
-// as 0 ("do not scale": the full 10 000-core run) and "--tasklets -5" as
-// ~1.8e19 tasklets.
-//
-//   benchflags::Args args(argc, argv, "[--cores N] [--mode M]");
-//   while (args.next()) {
-//     if (args.flag() == "--cores") cores = args.integer(1);
-//     else if (args.flag() == "--mode") mode = args.text();
-//     else args.usage();
-//   }
-//
-// The campaign benches take only --seeds/--jobs: campaign_flags().
+// bench_flags.hpp — what several figure benches share: the campaign and
+// timeline flags (read through util::Args, like every bench's flags) and
+// the fig10/fig11 advisor-gate driver.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "lobsim/campaign.hpp"
-#include "util/parse.hpp"
+#include "util/args.hpp"
+#include "util/table.hpp"
+#include "util/units.hpp"
 
 namespace lobster::benchflags {
 
-/// Print `why` (when given) and the usage line, then exit 2.
-[[noreturn]] inline void usage(const char* prog, const char* line,
-                               const std::string& why = "") {
-  if (!why.empty()) std::fprintf(stderr, "error: %s\n", why.c_str());
-  std::fprintf(stderr, "usage: %s %s\n", prog, line);
-  std::exit(2);
-}
-
-/// Walks argv one flag at a time; every accessor that reads a value
-/// consumes it.
-class Args {
- public:
-  Args(int argc, char** argv, const char* usage_line)
-      : argc_(argc), argv_(argv), line_(usage_line) {}
-
-  /// Step to the next flag; false once argv is exhausted.
-  bool next() { return ++i_ < argc_; }
-  [[nodiscard]] std::string flag() const { return argv_[i_]; }
-  [[noreturn]] void usage(const std::string& why = "") const {
-    benchflags::usage(argv_[0], line_, why);
-  }
-
-  /// The current flag's value, verbatim.
-  std::string text() {
-    if (i_ + 1 >= argc_) usage(flag() + " needs a value");
-    return argv_[++i_];
-  }
-  /// A whole-token integer >= `min`.
-  long long integer(long long min) {
-    const std::string name = flag();
-    const std::string value = text();
-    const auto v = util::parse_int_strict(value);
-    if (!v || *v < min) bad(name, value);
-    return *v;
-  }
-  /// A whole-token finite number > 0.
-  double positive() {
-    const std::string name = flag();
-    const std::string value = text();
-    const auto v = util::parse_double_strict(value);
-    if (!v || !std::isfinite(*v) || *v <= 0.0) bad(name, value);
-    return *v;
-  }
-
- private:
-  [[noreturn]] void bad(const std::string& name,
-                        const std::string& value) const {
-    usage("bad value for " + name + ": '" + value + "'");
-  }
-
-  int argc_;
-  char** argv_;
-  const char* line_;
-  int i_ = 0;
+/// The campaign benches' flags: `--seeds N` expands to
+/// base_seed..base_seed+N-1, `--jobs M` sets the pool width (0 = hardware
+/// concurrency).
+struct CampaignFlags {
+  std::vector<std::uint64_t> seeds;
+  std::size_t jobs = 1;
 };
 
-/// lobsim::parse_campaign_flags, with a rejected flag or value ending in
-/// the usage line instead of an uncaught exception.
-inline lobsim::CampaignOptions campaign_flags(int argc, char** argv,
-                                              std::uint64_t base_seed,
-                                              std::size_t default_seeds = 1) {
-  try {
-    return lobsim::parse_campaign_flags(argc, argv, base_seed, default_seeds);
-  } catch (const std::invalid_argument& e) {
-    usage(argv[0], "[--seeds N] [--jobs M]", e.what());
+inline CampaignFlags campaign_flags(int argc, char** argv,
+                                    std::uint64_t base_seed,
+                                    std::size_t default_seeds = 1) {
+  std::size_t n_seeds = default_seeds;
+  CampaignFlags f;
+  util::Args args(argc, argv, "[--seeds N] [--jobs M]");
+  while (args.next()) {
+    if (args.is("--seeds"))
+      n_seeds = static_cast<std::size_t>(args.integer(1));
+    else if (args.is("--jobs"))
+      f.jobs = static_cast<std::size_t>(args.integer(0));
+    else
+      args.usage();
   }
+  for (std::size_t i = 0; i < n_seeds; ++i) f.seeds.push_back(base_seed + i);
+  return f;
 }
 
 /// The flags fig10 and fig11 share.  cores/tasklets 0 = the scenario's own.
@@ -106,22 +51,81 @@ struct TimelineFlags {
 
 inline TimelineFlags parse_timeline_flags(int argc, char** argv) {
   TimelineFlags f;
-  Args args(argc, argv,
-            "[--advisor-gate] [--cores N] [--tasklets N] [--trace-prefix P]");
+  util::Args args(argc, argv,
+                  "[--advisor-gate] [--cores N] [--tasklets N] "
+                  "[--trace-prefix P]");
   while (args.next()) {
-    const std::string flag = args.flag();
-    if (flag == "--advisor-gate")
+    if (args.is("--advisor-gate"))
       f.advisor_gate = true;
-    else if (flag == "--cores")
+    else if (args.is("--cores"))
       f.cores = static_cast<std::size_t>(args.integer(1));
-    else if (flag == "--tasklets")
+    else if (args.is("--tasklets"))
       f.tasklets = static_cast<std::uint64_t>(args.integer(1));
-    else if (flag == "--trace-prefix")
+    else if (args.is("--trace-prefix"))
       f.trace_prefix = args.text();
     else
       args.usage();
   }
   return f;
+}
+
+/// The fig10/fig11 --advisor-gate run: `off` and `on` through one
+/// two-wide Campaign, a side-by-side table, then the gate.  Returns 0 only
+/// when both runs complete and advisor-on goodput is strictly higher.
+inline int run_advisor_gate(const lobsim::RunSpec& off,
+                            const lobsim::RunSpec& on) {
+  lobsim::Campaign campaign(2);
+  campaign.add(off);
+  campaign.add(on);
+  const auto& results = campaign.run();
+  for (const auto& r : results)
+    if (!r.ok()) {
+      std::fprintf(stderr, "error: %s run failed: %s\n", r.label.c_str(),
+                   r.error.c_str());
+      return 1;
+    }
+  const lobsim::RunStats& a = results[0].stats;
+  const lobsim::RunStats& b = results[1].stats;
+
+  util::Table table({"metric", "advisor-off", "advisor-on"});
+  table.row({"makespan", util::format_duration(a.makespan),
+             util::format_duration(b.makespan)});
+  table.row({"goodput (tasklets/h)", util::Table::num(a.goodput(), 1),
+             util::Table::num(b.goodput(), 1)});
+  table.row({"tasks failed",
+             util::Table::integer(static_cast<long long>(a.tasks_failed)),
+             util::Table::integer(static_cast<long long>(b.tasks_failed))});
+  table.row({"tasklets retried",
+             util::Table::integer(static_cast<long long>(a.tasklets_retried)),
+             util::Table::integer(
+                 static_cast<long long>(b.tasklets_retried))});
+  table.row(
+      {"advisor ticks/shr/thr/drn/rst", "-",
+       util::Table::integer(static_cast<long long>(b.advisor_ticks)) + "/" +
+           util::Table::integer(static_cast<long long>(b.advisor_shrinks)) +
+           "/" +
+           util::Table::integer(static_cast<long long>(b.advisor_throttles)) +
+           "/" +
+           util::Table::integer(static_cast<long long>(b.advisor_drains)) +
+           "/" +
+           util::Table::integer(static_cast<long long>(b.advisor_restores))});
+  std::fputs(table.str().c_str(), stdout);
+
+  if (!(a.completed && b.completed)) {
+    std::puts("\nGATE FAIL: a run hit the time cap.");
+    return 1;
+  }
+  if (!(b.goodput() > a.goodput())) {
+    std::printf("\nGATE FAIL: advisor-on goodput %.1f <= advisor-off %.1f.\n",
+                b.goodput(), a.goodput());
+    return 1;
+  }
+  std::printf("\nGATE PASS: advisor-on goodput %.1f > advisor-off %.1f "
+              "(makespan %s vs %s).\n",
+              b.goodput(), a.goodput(),
+              util::format_duration(b.makespan).c_str(),
+              util::format_duration(a.makespan).c_str());
+  return 0;
 }
 
 }  // namespace lobster::benchflags

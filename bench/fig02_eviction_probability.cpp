@@ -11,12 +11,15 @@
 #include <cstdio>
 
 #include "core/task_size_model.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lobster;
+  util::Args args(argc, argv, "");
+  if (args.next()) args.usage();
 
   std::puts("=== Figure 2: Worker Eviction Probability ===");
   std::puts("Synthetic availability log: 50000 worker lifetimes, Weibull");

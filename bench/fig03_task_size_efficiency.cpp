@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "core/task_size_model.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lobster;
+  util::Args args(argc, argv, "");
+  if (args.next()) args.usage();
 
   std::puts("=== Figure 3: Simulated Efficiency by Task Length ===");
   std::puts("100,000 tasklets, 8,000 workers, worker OH 5 min, task OH 20 min,");

@@ -19,6 +19,7 @@
 #include "cvmfs/parrot_cache.hpp"
 #include "cvmfs/repository.hpp"
 #include "lobsim/engine.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -93,7 +94,10 @@ SimResult run_sim(cvmfs::CacheMode mode) {
 }
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::Args args(argc, argv, "");
+  if (args.next()) args.usage();
+
   std::puts("=== Figure 6 ablation: Parrot cache concurrency modes ===\n");
 
   std::puts("-- Part 1: real threads on cvmfs::CacheGroup (8 slots x 3 tasks,");

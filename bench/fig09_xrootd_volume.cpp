@@ -9,11 +9,14 @@
 #include <cstdio>
 
 #include "lobsim/scenarios.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lobster;
+  util::Args args(argc, argv, "");
+  if (args.next()) args.usage();
 
   std::puts("=== Figure 9: Data Processing Volume (top XrootD consumers) ===");
 

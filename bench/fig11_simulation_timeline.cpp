@@ -84,58 +84,7 @@ int run_advisor_gate(lobster::lobsim::SimulationRunScenario s,
   on.advisor.thresholds.setup_fraction = 1.1;
   if (!trace_prefix.empty()) on.trace_path = trace_prefix + "-on.jsonl";
 
-  lobsim::Campaign campaign(2);
-  campaign.add(off);
-  campaign.add(on);
-  const auto& results = campaign.run();
-  for (const auto& r : results)
-    if (!r.ok()) {
-      std::fprintf(stderr, "error: %s run failed: %s\n", r.label.c_str(),
-                   r.error.c_str());
-      return 1;
-    }
-  const lobsim::RunStats& a = results[0].stats;
-  const lobsim::RunStats& b = results[1].stats;
-
-  util::Table table({"metric", "advisor-off", "advisor-on"});
-  table.row({"makespan", util::format_duration(a.makespan),
-             util::format_duration(b.makespan)});
-  table.row({"goodput (tasklets/h)", util::Table::num(a.goodput(), 1),
-             util::Table::num(b.goodput(), 1)});
-  table.row({"tasks failed",
-             util::Table::integer(static_cast<long long>(a.tasks_failed)),
-             util::Table::integer(static_cast<long long>(b.tasks_failed))});
-  table.row({"tasklets retried",
-             util::Table::integer(static_cast<long long>(a.tasklets_retried)),
-             util::Table::integer(
-                 static_cast<long long>(b.tasklets_retried))});
-  table.row(
-      {"advisor ticks/shr/thr/drn/rst", "-",
-       util::Table::integer(static_cast<long long>(b.advisor_ticks)) + "/" +
-           util::Table::integer(static_cast<long long>(b.advisor_shrinks)) +
-           "/" +
-           util::Table::integer(static_cast<long long>(b.advisor_throttles)) +
-           "/" +
-           util::Table::integer(static_cast<long long>(b.advisor_drains)) +
-           "/" +
-           util::Table::integer(static_cast<long long>(b.advisor_restores))});
-  std::fputs(table.str().c_str(), stdout);
-
-  if (!(a.completed && b.completed)) {
-    std::puts("\nGATE FAIL: a run hit the time cap.");
-    return 1;
-  }
-  if (!(b.goodput() > a.goodput())) {
-    std::printf("\nGATE FAIL: advisor-on goodput %.1f <= advisor-off %.1f.\n",
-                b.goodput(), a.goodput());
-    return 1;
-  }
-  std::printf("\nGATE PASS: advisor-on goodput %.1f > advisor-off %.1f "
-              "(makespan %s vs %s).\n",
-              b.goodput(), a.goodput(),
-              util::format_duration(b.makespan).c_str(),
-              util::format_duration(a.makespan).c_str());
-  return 0;
+  return benchflags::run_advisor_gate(off, on);
 }
 
 }  // namespace

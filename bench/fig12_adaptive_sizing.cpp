@@ -15,6 +15,7 @@
 
 #include "core/scheduler.hpp"
 #include "core/task_size_model.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "wq/worker.hpp"
 
@@ -29,8 +30,10 @@ core::TaskSizeModelParams model_params() {
 }
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lobster;
+  util::Args args(argc, argv, "");
+  if (args.next()) args.usage();
 
   std::puts("=== Extension: dynamic task-size adjustment (paper SS8) ===\n");
   std::puts("-- Part 1: value of adapting task size to the eviction regime --");

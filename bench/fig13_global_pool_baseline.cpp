@@ -16,12 +16,15 @@
 #include <vector>
 
 #include "lobsim/global_pool.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lobster;
+  util::Args args(argc, argv, "");
+  if (args.next()) args.usage();
 
   std::puts("=== Baseline: centralized Global Pool vs per-user Lobster ===\n");
 

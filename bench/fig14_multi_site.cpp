@@ -28,8 +28,8 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_flags.hpp"
 #include "lobsim/engine.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -248,18 +248,17 @@ int main(int argc, char** argv) {
   std::uint64_t tasklets = 30000;
   double scale = 1.0;
   std::uint64_t seed = 2015;
-  benchflags::Args args(argc, argv,
-                        "[--mode classic|stealing] [--tasklets N] "
-                        "[--scale F] [--seed S]");
+  util::Args args(argc, argv,
+                  "[--mode classic|stealing] [--tasklets N] [--scale F] "
+                  "[--seed S]");
   while (args.next()) {
-    const std::string flag = args.flag();
-    if (flag == "--mode")
+    if (args.is("--mode"))
       mode = args.text();
-    else if (flag == "--tasklets")
+    else if (args.is("--tasklets"))
       tasklets = static_cast<std::uint64_t>(args.integer(1));
-    else if (flag == "--scale")
+    else if (args.is("--scale"))
       scale = args.positive();
-    else if (flag == "--seed")
+    else if (args.is("--seed"))
       seed = static_cast<std::uint64_t>(args.integer(0));
     else
       args.usage();

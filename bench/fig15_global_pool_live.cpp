@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_flags.hpp"
 #include "bench_json.hpp"
 #include "lobsim/global_pool.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -41,26 +41,6 @@ struct Options {
   std::size_t users = 400;
   double tasklet_seconds = 3600.0;
 };
-
-constexpr const char* kUsage =
-    "[--cores N] [--users N] [--tasklet-seconds S]";
-
-Options parse(int argc, char** argv) {
-  Options o;
-  benchflags::Args args(argc, argv, kUsage);
-  while (args.next()) {
-    const std::string flag = args.flag();
-    if (flag == "--cores")
-      o.cores = args.positive();
-    else if (flag == "--users")
-      o.users = static_cast<std::size_t>(args.integer(0));
-    else if (flag == "--tasklet-seconds")
-      o.tasklet_seconds = args.positive();
-    else
-      args.usage();
-  }
-  return o;
-}
 
 double pct_dev(double live, double model) {
   return model > 0.0 ? 100.0 * (live - model) / model : 0.0;
@@ -155,11 +135,22 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  Options opt;
+  util::Args args(argc, argv, "[--cores N] [--users N] [--tasklet-seconds S]");
+  while (args.next()) {
+    if (args.is("--cores"))
+      opt.cores = args.positive();
+    else if (args.is("--users"))
+      opt.users = static_cast<std::size_t>(args.integer(0));
+    else if (args.is("--tasklet-seconds"))
+      opt.tasklet_seconds = args.positive();
+    else
+      args.usage();
+  }
   try {
     return run(opt);
   } catch (const std::invalid_argument& e) {
     // A pool the model cannot run (e.g. under one core).
-    benchflags::usage(argv[0], kUsage, e.what());
+    args.usage(e.what());
   }
 }

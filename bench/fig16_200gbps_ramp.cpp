@@ -21,8 +21,8 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_flags.hpp"
 #include "lobsim/scenarios.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace lobster;
@@ -34,26 +34,23 @@ struct Options {
   std::string mode = "ramp";
 };
 
-constexpr const char* kUsage =
-    "[--sites N] [--trunks N] [--target-gbps G] [--phases N] "
-    "[--phase-seconds S] [--mode ramp|hotspot|collapse]";
-
 Options parse(int argc, char** argv) {
   Options o;
-  benchflags::Args args(argc, argv, kUsage);
+  util::Args args(argc, argv,
+                  "[--sites N] [--trunks N] [--target-gbps G] [--phases N] "
+                  "[--phase-seconds S] [--mode ramp|hotspot|collapse]");
   while (args.next()) {
-    const std::string flag = args.flag();
-    if (flag == "--sites")
+    if (args.is("--sites"))
       o.ramp.sites = static_cast<std::size_t>(args.integer(1));
-    else if (flag == "--trunks")
+    else if (args.is("--trunks"))
       o.ramp.trunks = static_cast<std::size_t>(args.integer(1));
-    else if (flag == "--target-gbps")
+    else if (args.is("--target-gbps"))
       o.ramp.target_gbps = args.positive();
-    else if (flag == "--phases")
+    else if (args.is("--phases"))
       o.ramp.phases = static_cast<std::size_t>(args.integer(1));
-    else if (flag == "--phase-seconds")
+    else if (args.is("--phase-seconds"))
       o.ramp.phase_seconds = args.positive();
-    else if (flag == "--mode")
+    else if (args.is("--mode"))
       o.mode = args.text();
     else
       args.usage();

@@ -12,6 +12,7 @@
 // Build: cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "chirp/chirp.hpp"
@@ -39,6 +40,9 @@ int main() {
                                                   util::Rng(42)));
 
   xrootd::RedirectorTable redirector;
+  // pick() advances a round-robin cursor, and every worker slot stages in
+  // through this one table.
+  std::mutex redirector_mu;
   auto site = std::make_shared<xrootd::SiteStore>("T2_US_Quickstart");
   for (const auto& file : bookkeeping.files(dataset_spec.name)) {
     site->put(file.lfn, file.size_bytes);
@@ -111,6 +115,7 @@ merge_size = 40MB
                 },
             .stage_in =
                 [&, lfn](wq::TaskContext&) {
+                  const std::lock_guard lock(redirector_mu);
                   xrootd::Client client(redirector);
                   client.attach_site(site);
                   return client.read(lfn).second > 0.0;

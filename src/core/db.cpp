@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace lobster::core {
 
@@ -326,9 +329,10 @@ void Db::save_journal(const std::string& path) const {
 }
 
 namespace {
-// A tolerant line-oriented parser for the journal we write: extracts one
-// scalar or array field by key.  Not a general JSON parser — only the
-// journal's own format is supported.
+// A line-oriented parser for the journal we write: extracts one scalar or
+// array field by key; nullopt when the key is missing or its value is cut
+// short.  Not a general JSON parser — only the journal's own format is
+// supported.
 std::optional<std::string> field(const std::string& line,
                                  const std::string& key) {
   const std::string pat = "\"" + key + "\":";
@@ -351,20 +355,12 @@ std::optional<std::string> field(const std::string& line,
   }
   if (line[begin] == '[') {
     const auto end = line.find(']', begin);
+    if (end == std::string::npos) return std::nullopt;
     return line.substr(begin + 1, end - begin - 1);
   }
   std::size_t end = begin;
   while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
   return line.substr(begin, end - begin);
-}
-
-std::vector<double> parse_array(const std::string& text) {
-  std::vector<double> out;
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ','))
-    if (!item.empty()) out.push_back(std::strtod(item.c_str(), nullptr));
-  return out;
 }
 }  // namespace
 
@@ -373,64 +369,104 @@ Db Db::load_journal(const std::string& path) {
   if (!in) throw std::runtime_error("db: cannot read " + path);
   Db db;
   std::string line;
+  std::size_t number = 0;
+  // Every key is checked and every number parsed whole.  A crash in the
+  // middle of save_journal leaves a cut-short line, and Scheduler::resume
+  // must not rebuild state from it.
+  const auto bad = [&](const std::string& key) {
+    return std::runtime_error("db: " + path + ":" + std::to_string(number) +
+                              ": bad or missing '" + key + "'");
+  };
+  const auto text = [&](const char* key) {
+    const auto v = field(line, key);
+    if (!v) throw bad(key);
+    return *v;
+  };
+  const auto integer = [&](const char* key, long long lo, long long hi) {
+    const auto v = util::parse_int_strict(text(key));
+    if (!v || *v < lo || *v > hi) throw bad(key);
+    return *v;
+  };
+  const auto real = [&](const char* key) {
+    const auto v = util::parse_double_strict(text(key));
+    if (!v) throw bad(key);
+    return *v;
+  };
+  const auto items = [&](const char* key) {
+    std::vector<std::string> out;
+    std::istringstream in(text(key));
+    for (std::string item; std::getline(in, item, ',');) out.push_back(item);
+    return out;
+  };
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  constexpr long long kU32 = std::numeric_limits<std::uint32_t>::max();
   while (std::getline(in, line)) {
+    ++number;
     if (line.empty()) continue;
-    const auto type = field(line, "type");
-    if (!type) throw std::runtime_error("db: journal line without type");
-    if (*type == "tasklet") {
+    if (line.back() != '}') throw bad("}");
+    const std::string type = text("type");
+    if (type == "tasklet") {
       TaskletRow row;
-      row.tasklet.id = std::strtoull(field(line, "id")->c_str(), nullptr, 10);
-      row.tasklet.input_lfn = *field(line, "lfn");
+      row.tasklet.id = static_cast<std::uint64_t>(integer("id", 0, kMax));
+      row.tasklet.input_lfn = text("lfn");
       row.tasklet.events =
-          std::strtoull(field(line, "events")->c_str(), nullptr, 10);
-      row.tasklet.input_bytes = std::strtod(field(line, "bytes")->c_str(), nullptr);
-      row.tasklet.expected_output_bytes =
-          std::strtod(field(line, "out_bytes")->c_str(), nullptr);
-      row.tasklet.first_lumi.run = static_cast<std::uint32_t>(
-          std::strtoul(field(line, "run")->c_str(), nullptr, 10));
-      row.tasklet.first_lumi.lumi = static_cast<std::uint32_t>(
-          std::strtoul(field(line, "lumi0")->c_str(), nullptr, 10));
+          static_cast<std::uint64_t>(integer("events", 0, kMax));
+      row.tasklet.input_bytes = real("bytes");
+      row.tasklet.expected_output_bytes = real("out_bytes");
+      row.tasklet.first_lumi.run =
+          static_cast<std::uint32_t>(integer("run", 0, kU32));
+      row.tasklet.first_lumi.lumi =
+          static_cast<std::uint32_t>(integer("lumi0", 0, kU32));
       row.tasklet.last_lumi.run = row.tasklet.first_lumi.run;
-      row.tasklet.last_lumi.lumi = static_cast<std::uint32_t>(
-          std::strtoul(field(line, "lumi1")->c_str(), nullptr, 10));
+      row.tasklet.last_lumi.lumi =
+          static_cast<std::uint32_t>(integer("lumi1", 0, kU32));
       row.status = static_cast<TaskletStatus>(
-          std::strtol(field(line, "status")->c_str(), nullptr, 10));
-      row.attempts = static_cast<std::uint32_t>(
-          std::strtoul(field(line, "attempts")->c_str(), nullptr, 10));
-      row.task_id = std::strtoull(field(line, "task")->c_str(), nullptr, 10);
+          integer("status", 0, static_cast<long long>(TaskletStatus::Failed)));
+      row.attempts = static_cast<std::uint32_t>(integer("attempts", 0, kU32));
+      row.task_id = static_cast<std::uint64_t>(integer("task", 0, kMax));
       db.tasklets_.emplace(row.tasklet.id, std::move(row));
-    } else if (*type == "task") {
+    } else if (type == "task") {
       TaskRecord rec;
-      rec.task_id = std::strtoull(field(line, "id")->c_str(), nullptr, 10);
+      rec.task_id = static_cast<std::uint64_t>(integer("id", 0, kMax));
       rec.kind = static_cast<TaskKind>(
-          std::strtol(field(line, "kind")->c_str(), nullptr, 10));
+          integer("kind", 0, static_cast<long long>(TaskKind::Merge)));
       rec.status = static_cast<TaskStatus>(
-          std::strtol(field(line, "status")->c_str(), nullptr, 10));
+          integer("status", 0, static_cast<long long>(TaskStatus::Evicted)));
       rec.exit_code = static_cast<int>(
-          std::strtol(field(line, "exit")->c_str(), nullptr, 10));
-      rec.worker = *field(line, "worker");
-      rec.submit_time = std::strtod(field(line, "submit")->c_str(), nullptr);
-      rec.finish_time = std::strtod(field(line, "finish")->c_str(), nullptr);
-      rec.cpu_time = std::strtod(field(line, "cpu")->c_str(), nullptr);
-      rec.lost_time = std::strtod(field(line, "lost")->c_str(), nullptr);
-      const auto segs = parse_array(*field(line, "segments"));
-      for (std::size_t s = 0; s < kNumSegments && s < segs.size(); ++s)
-        rec.segment_time[s] = segs[s];
-      for (double v : parse_array(*field(line, "tasklets")))
-        rec.tasklets.push_back(static_cast<std::uint64_t>(v));
+          integer("exit", std::numeric_limits<int>::min(),
+                  std::numeric_limits<int>::max()));
+      rec.worker = text("worker");
+      rec.submit_time = real("submit");
+      rec.finish_time = real("finish");
+      rec.cpu_time = real("cpu");
+      rec.lost_time = real("lost");
+      const auto segs = items("segments");
+      if (segs.size() != kNumSegments) throw bad("segments");
+      for (std::size_t s = 0; s < kNumSegments; ++s) {
+        const auto v = util::parse_double_strict(segs[s]);
+        if (!v) throw bad("segments");
+        rec.segment_time[s] = *v;
+      }
+      for (const std::string& t : items("tasklets")) {
+        const auto v = util::parse_int_strict(t);
+        if (!v || *v < 0) throw bad("tasklets");
+        rec.tasklets.push_back(static_cast<std::uint64_t>(*v));
+      }
       db.next_task_id_ = std::max(db.next_task_id_, rec.task_id + 1);
       db.tasks_.emplace(rec.task_id, std::move(rec));
-    } else if (*type == "output") {
+    } else if (type == "output") {
       OutputRecord rec;
-      rec.output_id = std::strtoull(field(line, "id")->c_str(), nullptr, 10);
-      rec.task_id = std::strtoull(field(line, "task")->c_str(), nullptr, 10);
-      rec.path = *field(line, "path");
-      rec.bytes = std::strtod(field(line, "bytes")->c_str(), nullptr);
-      rec.merged = *field(line, "merged") == "true";
+      rec.output_id = static_cast<std::uint64_t>(integer("id", 0, kMax));
+      rec.task_id = static_cast<std::uint64_t>(integer("task", 0, kMax));
+      rec.path = text("path");
+      rec.bytes = real("bytes");
+      const std::string merged = text("merged");
+      if (merged != "true" && merged != "false") throw bad("merged");
+      rec.merged = merged == "true";
       db.next_output_id_ = std::max(db.next_output_id_, rec.output_id + 1);
       db.outputs_.emplace(rec.output_id, std::move(rec));
     } else {
-      throw std::runtime_error("db: unknown journal record type " + *type);
+      throw std::runtime_error("db: unknown journal record type " + type);
     }
   }
   return db;

@@ -59,11 +59,6 @@ double TraceAvailability::sample_survival_at(util::Rng&, double,
   return (*intervals_)[phase % intervals_->size()];
 }
 
-double TraceAvailability::sample_survival(util::Rng& rng) const {
-  const auto n = static_cast<std::int64_t>(intervals_->size());
-  return (*intervals_)[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
-}
-
 double TraceAvailability::expected_lifetime(double) const { return mean_; }
 
 // ---- WeibullAvailability ---------------------------------------------------

@@ -19,10 +19,9 @@
 //   adversarial-burst — correlated mass-eviction events on a fixed period,
 //                       the worst case for merge-group loss.
 //
-// AvailabilityModel extends core::EvictionModel, so every model also plugs
-// into the §4.1 task-size Monte Carlo (fig03/fig12), and it exposes
-// expected_lifetime(now) — the queryable distribution the ROADMAP's
-// expected-lifetime DispatchPolicy needs.
+// Every model exposes expected_lifetime(now): the queryable distribution
+// the `lifetime` DispatchPolicy sizes tasks against.  (The §4.1 task-size
+// Monte Carlo of fig03/fig12 draws from core::EvictionModel instead.)
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/task_size_model.hpp"
 #include "util/rng.hpp"
 
 namespace lobster::lobsim {
@@ -64,12 +62,11 @@ struct AvailabilityConfig {
   double burst_fraction = 0.5;
 };
 
-/// Survival-time model for a (re)started worker incarnation, extended with
-/// the simulated start time and a replay phase.  The base-class
-/// sample_survival(rng) keeps every model usable by the core task-size
-/// Monte Carlo, which has no clock.
-class AvailabilityModel : public core::EvictionModel {
+/// Survival-time model for a (re)started worker incarnation, given the
+/// simulated start time and a replay phase.
+class AvailabilityModel {
  public:
+  virtual ~AvailabilityModel() = default;
   /// Draw the survival time of an incarnation starting at `now`.  `rng` is
   /// the worker's private stream; `phase` is the worker's replay position
   /// (per-worker offset + incarnation index), used by trace replay so
@@ -80,10 +77,8 @@ class AvailabilityModel : public core::EvictionModel {
   /// queryable distribution an expected-lifetime DispatchPolicy sizes
   /// tasks against.
   virtual double expected_lifetime(double now) const = 0;
-
-  double sample_survival(util::Rng& rng) const override {
-    return sample_survival_at(rng, 0.0, 0);
-  }
+  /// The climate's name ("weibull", "trace", ...; "none" without evictions).
+  virtual const char* name() const = 0;
 };
 
 /// Dedicated resources (evictions disabled): infinite survival.
@@ -104,8 +99,6 @@ class TraceAvailability final : public AvailabilityModel {
       std::shared_ptr<const std::vector<double>> intervals);
   double sample_survival_at(util::Rng& rng, double now,
                             std::uint64_t phase) const override;
-  /// Clock-free draw (task-size Monte Carlo): uniform over the log.
-  double sample_survival(util::Rng& rng) const override;
   double expected_lifetime(double now) const override;
   const char* name() const override { return "trace"; }
   std::size_t size() const { return intervals_->size(); }

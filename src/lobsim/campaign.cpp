@@ -1,11 +1,9 @@
 #include "lobsim/campaign.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
+#include <exception>
 #include <thread>
 
-#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lobster::lobsim {
@@ -133,48 +131,6 @@ std::vector<CampaignAggregate> Campaign::aggregate() const {
     agg.peak_running.add(static_cast<double>(r.stats.peak_running));
   }
   return out;
-}
-
-CampaignOptions parse_campaign_flags(
-    int argc, char** argv, std::uint64_t base_seed, std::size_t default_seeds,
-    const std::vector<std::string>& passthrough_value_flags) {
-  std::size_t n_seeds = default_seeds;
-  CampaignOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto numeric_value = [&](const char* flag) -> long long {
-      if (i + 1 >= argc)
-        throw std::invalid_argument(std::string(flag) + " needs a value");
-      const long long v = util::require_int(argv[++i], flag);
-      if (v < 0)
-        throw std::invalid_argument(std::string(flag) + " must be >= 0");
-      return v;
-    };
-    if (arg == "--seeds") {
-      n_seeds = static_cast<std::size_t>(numeric_value("--seeds"));
-      if (n_seeds == 0) throw std::invalid_argument("--seeds must be >= 1");
-    } else if (arg == "--jobs") {
-      opts.jobs = static_cast<std::size_t>(numeric_value("--jobs"));
-    } else if (std::find(passthrough_value_flags.begin(),
-                         passthrough_value_flags.end(),
-                         arg) != passthrough_value_flags.end()) {
-      // A tool-specific flag the caller parses itself; skip its value too,
-      // so a value that happens to start with "--" is not re-read as a flag.
-      if (i + 1 >= argc)
-        throw std::invalid_argument(arg + " needs a value");
-      ++i;
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw std::invalid_argument(
-          "unknown flag '" + arg +
-          "' (expected --seeds N or --jobs M; see the usage comment)");
-    }
-    // Anything else is a positional argument (e.g. a scenario file) owned
-    // by the caller.
-  }
-  opts.seeds.reserve(n_seeds);
-  for (std::size_t i = 0; i < n_seeds; ++i)
-    opts.seeds.push_back(base_seed + i);
-  return opts;
 }
 
 }  // namespace lobster::lobsim

@@ -145,22 +145,4 @@ class Campaign {
 void parallel_runs(std::size_t n, std::size_t jobs,
                    const std::function<void(std::size_t)>& fn);
 
-/// Seed-list and worker-count flags shared by the campaign-driven benches
-/// and the CLI: `--seeds N` expands to base_seed..base_seed+N-1, `--jobs M`
-/// sets the pool width (0 = hardware concurrency).
-struct CampaignOptions {
-  std::vector<std::uint64_t> seeds;
-  std::size_t jobs = 1;
-};
-/// Strict parsing: a non-numeric or negative value and any unrecognised
-/// `--flag` throw std::invalid_argument (a typo like `--seed 5` must not be
-/// silently ignored).  Positional arguments (no leading '-') are the
-/// caller's business and are skipped.  `passthrough_value_flags` lists
-/// tool-specific flags that take one value (e.g. lobster_sim's
-/// `--availability`); both the flag and its value are skipped here.
-CampaignOptions parse_campaign_flags(
-    int argc, char** argv, std::uint64_t base_seed,
-    std::size_t default_seeds = 1,
-    const std::vector<std::string>& passthrough_value_flags = {});
-
 }  // namespace lobster::lobsim

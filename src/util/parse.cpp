@@ -42,11 +42,4 @@ std::optional<double> parse_double_strict(const std::string& text) {
   return v;
 }
 
-long long require_int(const std::string& text, const std::string& what) {
-  const auto v = parse_int_strict(text);
-  if (!v)
-    throw std::invalid_argument(what + ": non-numeric value '" + text + "'");
-  return *v;
-}
-
 }  // namespace lobster::util

@@ -2,10 +2,10 @@
 //
 // std::atoll/strtoll-style parsing turns "abc" into 0 and "8x" into 8
 // without complaint; in a campaign driver that silently becomes "run the
-// default scenario" instead of "reject the typo" (see parse_campaign_flags
-// and the PR 3 misreporting fixes).  Every CLI flag, INI value and spec
-// field that expects a number goes through these helpers: the WHOLE trimmed
-// token must parse, or the caller gets nullopt / a loud exception.
+// default scenario" instead of "reject the typo".  Every CLI flag (through
+// util::Args), INI value, spec field and DB journal number goes through
+// these helpers: the WHOLE trimmed token must parse, or the caller gets
+// nullopt and reports it.
 #pragma once
 
 #include <optional>
@@ -22,10 +22,5 @@ namespace lobster::util {
 /// nullopt on empty input, trailing garbage, or overflow.
 [[nodiscard]] std::optional<double> parse_double_strict(
     const std::string& text);
-
-/// Throwing wrapper: std::invalid_argument naming `what` (a flag or
-/// config key) when the token does not parse strictly.
-[[nodiscard]] long long require_int(const std::string& text,
-                                    const std::string& what);
 
 }  // namespace lobster::util

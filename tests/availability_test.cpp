@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -163,20 +162,6 @@ TEST(TraceAvailabilityTest, CyclesWithPhaseOffsets) {
   // Expected lifetime is the log mean, clock-independent.
   EXPECT_DOUBLE_EQ(model.expected_lifetime(0.0), 200.0);
   EXPECT_DOUBLE_EQ(model.expected_lifetime(12345.0), 200.0);
-}
-
-TEST(TraceAvailabilityTest, ClockFreeDrawSamplesTheLog) {
-  const auto intervals = std::make_shared<const std::vector<double>>(
-      std::vector<double>{100.0, 200.0, 300.0});
-  const TraceAvailability model(intervals);
-  util::Rng rng(99);
-  std::set<double> seen;
-  for (int i = 0; i < 200; ++i) {
-    const double v = model.sample_survival(rng);
-    EXPECT_TRUE(v == 100.0 || v == 200.0 || v == 300.0);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 3u) << "uniform draw should cover the log";
 }
 
 TEST(TraceAvailabilityTest, RejectsEmptyOrNonPositive) {

@@ -448,81 +448,6 @@ TEST(ParallelRunsTest, VisitsEveryIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(CampaignFlagsTest, ParsesSeedsAndJobs) {
-  const char* argv_c[] = {"bench", "--seeds", "4", "--jobs", "2"};
-  auto opts = parse_campaign_flags(5, const_cast<char**>(argv_c), 100);
-  ASSERT_EQ(opts.seeds.size(), 4u);
-  EXPECT_EQ(opts.seeds.front(), 100u);
-  EXPECT_EQ(opts.seeds.back(), 103u);
-  EXPECT_EQ(opts.jobs, 2u);
-}
-
-TEST(CampaignFlagsTest, DefaultsAndPositionalArgsIgnored) {
-  const char* argv_c[] = {"tool", "scenario.ini"};
-  auto opts = parse_campaign_flags(2, const_cast<char**>(argv_c), 7);
-  ASSERT_EQ(opts.seeds.size(), 1u);
-  EXPECT_EQ(opts.seeds.front(), 7u);
-  EXPECT_EQ(opts.jobs, 1u);
-}
-
-TEST(CampaignFlagsTest, RejectsBadValues) {
-  const char* argv_c[] = {"bench", "--seeds", "0"};
-  EXPECT_THROW(parse_campaign_flags(3, const_cast<char**>(argv_c), 1),
-               std::invalid_argument);
-  const char* argv_m[] = {"bench", "--seeds"};
-  EXPECT_THROW(parse_campaign_flags(2, const_cast<char**>(argv_m), 1),
-               std::invalid_argument);
-}
-
-// std::atoll would have turned these into 0 (then silently into hardware
-// concurrency for --jobs); strict parsing must reject them loudly.
-TEST(CampaignFlagsTest, RejectsNonNumericValues) {
-  const char* argv_c[] = {"bench", "--jobs", "abc"};
-  EXPECT_THROW(parse_campaign_flags(3, const_cast<char**>(argv_c), 1),
-               std::invalid_argument);
-  // Trailing garbage after a valid prefix is just as wrong.
-  const char* argv_t[] = {"bench", "--seeds", "4x"};
-  EXPECT_THROW(parse_campaign_flags(3, const_cast<char**>(argv_t), 1),
-               std::invalid_argument);
-  const char* argv_n[] = {"bench", "--jobs", "-2"};
-  EXPECT_THROW(parse_campaign_flags(3, const_cast<char**>(argv_n), 1),
-               std::invalid_argument);
-}
-
-// A typo like `--seed 5` used to be silently ignored — the run proceeded
-// with the default seed while the user believed they had swept five.
-TEST(CampaignFlagsTest, RejectsUnknownFlags) {
-  const char* argv_c[] = {"bench", "--seed", "5"};
-  try {
-    parse_campaign_flags(3, const_cast<char**>(argv_c), 1);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos);
-  }
-  const char* argv_f[] = {"bench", "--frobnicate"};
-  EXPECT_THROW(parse_campaign_flags(2, const_cast<char**>(argv_f), 1),
-               std::invalid_argument);
-}
-
-TEST(CampaignFlagsTest, PassthroughFlagsSkipTheirValue) {
-  // --availability belongs to the tool; its value must be skipped even when
-  // it starts with "--" (it must not be re-parsed as a flag).
-  const char* argv_c[] = {"tool",   "scenario.ini", "--availability",
-                          "--odd",  "--seeds",      "3"};
-  auto opts = parse_campaign_flags(6, const_cast<char**>(argv_c), 10, 1,
-                                   {"--availability"});
-  ASSERT_EQ(opts.seeds.size(), 3u);
-  EXPECT_EQ(opts.seeds.front(), 10u);
-  // Without the passthrough list the same argv is rejected.
-  EXPECT_THROW(parse_campaign_flags(6, const_cast<char**>(argv_c), 10),
-               std::invalid_argument);
-  // A passthrough flag still needs its value.
-  const char* argv_m[] = {"tool", "--availability"};
-  EXPECT_THROW(parse_campaign_flags(2, const_cast<char**>(argv_m), 1, 1,
-                                    {"--availability"}),
-               std::invalid_argument);
-}
-
 // ---- spec_from_config -------------------------------------------------------
 
 TEST(SpecConfigTest, AcceptsAScenario) {

@@ -247,12 +247,22 @@ TEST(Properties, NearEqualCapsAtScaleDoNotStallFairShare) {
 // Fault injection: a corrupted journal is rejected, not misread.
 TEST(Properties, CorruptJournalRejected) {
   const std::string path = ::testing::TempDir() + "corrupt.jsonl";
-  {
+  // An unknown type; records that lost their keys (the tasklet crashed
+  // the reader, the task read as one submitted task); a non-numeric id; a
+  // line cut short inside its last value ("task":123 read as 12).
+  for (const char* line :
+       {"{\"type\":\"gibberish\",\"id\":1}\n", "{\"type\":\"tasklet\"}\n",
+        "{\"type\":\"task\",\"id\":1}\n",
+        "{\"type\":\"output\",\"id\":x1,\"task\":1,\"path\":\"p\","
+        "\"bytes\":1,\"merged\":false}\n",
+        "{\"type\":\"tasklet\",\"id\":1,\"lfn\":\"f\",\"events\":1,\"bytes\":1,"
+        "\"out_bytes\":1,\"run\":1,\"lumi0\":1,\"lumi1\":1,\"status\":0,"
+        "\"attempts\":0,\"task\":12\n"}) {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("{\"type\":\"gibberish\",\"id\":1}\n", f);
+    std::fputs(line, f);
     std::fclose(f);
+    EXPECT_THROW(core::Db::load_journal(path), std::runtime_error) << line;
   }
-  EXPECT_THROW(core::Db::load_journal(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW(core::Db::load_journal("/nonexistent/journal.jsonl"),
                std::runtime_error);

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "util/args.hpp"
 #include "util/channel.hpp"
 #include "util/config.hpp"
 #include "util/histogram.hpp"
@@ -403,4 +405,93 @@ TEST(ThreadPool, RejectsAfterShutdown) {
   lu::ThreadPool pool(2);
   pool.shutdown();
   EXPECT_FALSE(pool.submit([] {}));
+}
+
+// ---------------------------------------------------------------- args ----
+
+namespace {
+struct Walked {
+  long long seeds = 1;
+  long long jobs = 1;
+  std::string availability;
+  std::string scenario;
+};
+
+// The campaign flags (--seeds N >= 1, --jobs M >= 0) beside a value flag
+// and one positional, declared in one loop the way lobster_sim declares
+// them.
+Walked walk(std::vector<const char*> argv) {
+  Walked w;
+  lu::Args args(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+                "[scenario.ini] [--seeds N] [--jobs M] [--availability S]");
+  while (args.next()) {
+    if (args.is("--seeds"))
+      w.seeds = args.integer(1);
+    else if (args.is("--jobs"))
+      w.jobs = args.integer(0);
+    else if (args.is("--availability"))
+      w.availability = args.text();
+    else if (w.scenario.empty() && args.positional())
+      w.scenario = args.token();
+    else
+      args.usage();
+  }
+  return w;
+}
+
+// A rejected command line names its fault, prints the usage line, exits 2.
+void expect_usage(const std::vector<const char*>& argv,
+                  const std::string& why) {
+  EXPECT_EXIT(walk(argv), ::testing::ExitedWithCode(2),
+              "error: " + why + ".*usage: bench ");
+}
+}  // namespace
+
+TEST(CampaignFlagsTest, ParsesSeedsAndJobs) {
+  const Walked w = walk({"bench", "--seeds", "4", "--jobs", "2"});
+  EXPECT_EQ(w.seeds, 4);
+  EXPECT_EQ(w.jobs, 2);
+  const Walked d = walk({"bench"});
+  EXPECT_EQ(d.seeds, 1);
+  EXPECT_EQ(d.jobs, 1);
+  EXPECT_TRUE(d.scenario.empty());
+}
+
+// The declared positional is taken once; a second one is not silently
+// dropped (lobster_sim a.ini b.ini used to run only a.ini).
+TEST(CampaignFlagsTest, UndeclaredPositionalRejected) {
+  EXPECT_EQ(walk({"bench", "scenario.ini"}).scenario, "scenario.ini");
+  expect_usage({"bench", "a.ini", "b.ini"}, "unexpected argument 'b.ini'");
+}
+
+TEST(CampaignFlagsTest, RejectsBadValues) {
+  expect_usage({"bench", "--seeds", "0"}, "bad value for --seeds: '0'");
+  expect_usage({"bench", "--seeds"}, "--seeds needs a value");
+}
+
+// std::atoll would have turned these into 0 (then silently into hardware
+// concurrency for --jobs); strict parsing must reject them loudly.
+TEST(CampaignFlagsTest, RejectsNonNumericValues) {
+  expect_usage({"bench", "--jobs", "abc"}, "bad value for --jobs: 'abc'");
+  // Trailing garbage after a valid prefix is just as wrong.
+  expect_usage({"bench", "--seeds", "4x"}, "bad value for --seeds: '4x'");
+  expect_usage({"bench", "--jobs", "-2"}, "bad value for --jobs: '-2'");
+}
+
+// A typo like `--seed 5` used to be silently ignored — the run proceeded
+// with the default seed while the user believed they had swept five.
+TEST(CampaignFlagsTest, RejectsUnknownFlags) {
+  expect_usage({"bench", "--seed", "5"}, "unexpected argument '--seed'");
+  expect_usage({"bench", "--frobnicate"}, "unexpected argument '--frobnicate'");
+}
+
+// A value is the next token as it is, even when it starts with "--"; it is
+// consumed, never re-read as a flag.
+TEST(CampaignFlagsTest, ValueMayStartWithDashes) {
+  const Walked w = walk({"bench", "scenario.ini", "--availability", "--odd",
+                         "--seeds", "3"});
+  EXPECT_EQ(w.availability, "--odd");
+  EXPECT_EQ(w.seeds, 3);
+  EXPECT_EQ(w.scenario, "scenario.ini");
+  expect_usage({"bench", "--availability"}, "--availability needs a value");
 }

@@ -21,21 +21,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/args.hpp"
 #include "util/parse.hpp"
 
 namespace {
-
-int usage(int code) {
-  std::fprintf(stderr,
-               "usage: bench_gate [--max-regress PCT] BASELINE FRESH "
-               "[BASELINE FRESH]...\n");
-  return code;
-}
 
 struct Snapshot {
   std::string bench;
@@ -77,34 +70,25 @@ bool parse_snapshot(const std::string& path, Snapshot* out) {
 int main(int argc, char** argv) {
   double max_regress_pct = 15.0;
   std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-regress") {
+  lobster::util::Args args(
+      argc, argv, "[--max-regress PCT] BASELINE FRESH [BASELINE FRESH]...");
+  while (args.next()) {
+    if (args.is("--max-regress")) {
       // A NaN bound would pass every run; "abc", "50x" and negatives are
       // typos, not bounds.
-      const std::optional<double> pct =
-          i + 1 < argc ? lobster::util::parse_double_strict(argv[++i])
-                       : std::nullopt;
-      if (!pct || !std::isfinite(*pct) || *pct < 0.0 || *pct >= 100.0) {
-        std::fprintf(stderr,
-                     "bench_gate: --max-regress needs a percentage in "
-                     "[0, 100)\n");
-        return usage(2);
-      }
+      const auto pct = lobster::util::parse_double_strict(args.text());
+      if (!pct || !std::isfinite(*pct) || *pct < 0.0 || *pct >= 100.0)
+        args.usage("--max-regress needs a percentage in [0, 100)");
       max_regress_pct = *pct;
-    } else if (arg == "-h" || arg == "--help") {
-      return usage(0);
+    } else if (args.positional()) {
+      files.push_back(args.token());
     } else {
-      files.push_back(arg);
+      args.usage();
     }
   }
-  if (files.empty() || files.size() % 2 != 0) {
-    std::fprintf(stderr,
-                 "bench_gate: need BASELINE FRESH file pairs "
-                 "(got %zu file(s))\n",
-                 files.size());
-    return 2;
-  }
+  if (files.empty() || files.size() % 2 != 0)
+    args.usage("need BASELINE FRESH file pairs (got " +
+               std::to_string(files.size()) + " file(s))");
 
   bool regressed = false;
   for (std::size_t i = 0; i + 1 < files.size(); i += 2) {

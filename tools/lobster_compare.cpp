@@ -35,7 +35,6 @@
 // `lobster_compare off.jsonl on.jsonl --diff` reads as "off -> on".
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -46,8 +45,8 @@
 #include "core/trace_replay.hpp"
 #include "lobsim/campaign.hpp"
 #include "lobsim/spec_config.hpp"
+#include "util/args.hpp"
 #include "util/config.hpp"
-#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
 #include "util/units.hpp"
@@ -284,70 +283,43 @@ void print_csv(const std::vector<LoadedRun>& runs,
   }
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <run.jsonl|scenario.ini> [more runs...]\n"
-               "          [--diff] [--expect-mover NAME] [--json] [--csv]\n"
-               "          [--trace-dir DIR] [--seeds N] [--jobs M]\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--diff") {
+  util::Args args(argc, argv,
+                  "<run.jsonl|scenario.ini> [more runs...]\n"
+                  "          [--diff] [--expect-mover NAME] [--json] [--csv]\n"
+                  "          [--trace-dir DIR] [--seeds N] [--jobs M]");
+  while (args.next()) {
+    if (args.is("--diff"))
       opt.diff = true;
-    } else if (arg == "--json") {
+    else if (args.is("--json"))
       opt.json = true;
-    } else if (arg == "--csv") {
+    else if (args.is("--csv"))
       opt.csv = true;
-    } else if (arg == "--expect-mover") {
-      opt.expect_mover = value("--expect-mover");
-    } else if (arg == "--trace-dir") {
-      opt.trace_dir = value("--trace-dir");
-    } else if (arg == "--seeds" || arg == "--jobs") {
-      // parse_campaign_flags' rules: a whole integer, --seeds >= 1,
-      // --jobs >= 0 (0 = hardware concurrency).
-      const bool seeds = arg == "--seeds";
-      const long long min = seeds ? 1 : 0;
-      const auto v = util::parse_int_strict(value(arg.c_str()));
-      if (!v || *v < min) {
-        std::fprintf(stderr, "error: %s needs an integer >= %lld\n",
-                     arg.c_str(), min);
-        return usage(argv[0]);
-      }
-      (seeds ? opt.seeds : opt.jobs) = static_cast<std::size_t>(*v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
-      return usage(argv[0]);
-    } else {
-      opt.inputs.push_back(arg);
-    }
+    else if (args.is("--expect-mover"))
+      opt.expect_mover = args.text();
+    else if (args.is("--trace-dir"))
+      opt.trace_dir = args.text();
+    else if (args.is("--seeds"))
+      opt.seeds = static_cast<std::size_t>(args.integer(1));
+    else if (args.is("--jobs"))
+      opt.jobs = static_cast<std::size_t>(args.integer(0));
+    else if (args.positional())
+      opt.inputs.push_back(args.token());
+    else
+      args.usage();
   }
-  if (opt.inputs.size() < 2) {
-    std::fprintf(stderr, "error: need at least two runs to compare\n");
-    return usage(argv[0]);
-  }
-  if (opt.diff && opt.inputs.size() != 2) {
-    std::fprintf(stderr, "error: --diff compares exactly two runs (got %zu)\n",
-                 opt.inputs.size());
-    return 2;
-  }
-  if (!opt.expect_mover.empty() && !opt.diff) {
-    std::fprintf(stderr, "error: --expect-mover requires --diff\n");
-    return 2;
-  }
+  if (opt.inputs.size() < 2) args.usage("need at least two runs to compare");
+  if (opt.diff && opt.inputs.size() != 2)
+    args.usage("--diff compares exactly two runs (got " +
+               std::to_string(opt.inputs.size()) + ")");
+  if (!opt.expect_mover.empty() && !opt.diff)
+    args.usage("--expect-mover requires --diff");
+  if (opt.diff && opt.trace_dir.empty() &&
+      (ends_with(opt.inputs[0], ".ini") || ends_with(opt.inputs[1], ".ini")))
+    args.usage("--diff on a scenario needs --trace-dir DIR");
 
   std::vector<LoadedRun> runs;
   try {
@@ -426,12 +398,6 @@ int main(int argc, char** argv) {
   core::TraceDiff diff;
   const core::TraceDiff* diff_ptr = nullptr;
   if (opt.diff) {
-    if (!runs[0].has_records || !runs[1].has_records) {
-      std::fprintf(stderr,
-                   "error: --diff needs per-task records; for scenario "
-                   "inputs pass --trace-dir DIR so the traces hit disk\n");
-      return 2;
-    }
     diff = core::diff_task_records(runs[0].records, runs[1].records,
                                    runs[0].label, runs[1].label);
     diff_ptr = &diff;

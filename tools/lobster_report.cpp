@@ -17,9 +17,12 @@
 //            as a smoke check), then the per-task end-event payloads are
 //            replayed into a Monitor for the runtime breakdown and the §5
 //            diagnosis, and the final counter plane is printed.
+//
+// Exit codes: 2 for a command-line error (an unknown flag, a second file,
+// --csv or a journal beside --trace: the usage line is printed), 1 for a
+// file that cannot be read or is malformed.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "core/db.hpp"
 #include "core/monitor.hpp"
 #include "core/trace_replay.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
 #include "util/units.hpp"
@@ -143,22 +147,28 @@ int report_trace(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <journal.jsonl> [--csv]\n"
-                 "       %s --trace <trace.jsonl>\n",
-                 argv[0], argv[0]);
-    return 2;
+  std::string path;
+  std::string trace;
+  bool want_csv = false;
+  util::Args args(argc, argv,
+                  "<journal.jsonl> [--csv]\n"
+                  "       lobster_report --trace <trace.jsonl>");
+  while (args.next()) {
+    if (args.is("--csv"))
+      want_csv = true;
+    else if (args.is("--trace"))
+      trace = args.text();
+    else if (path.empty() && args.positional())
+      path = args.token();
+    else
+      args.usage();
   }
-  if (std::strcmp(argv[1], "--trace") == 0) {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: %s --trace <trace.jsonl>\n", argv[0]);
-      return 2;
-    }
-    return report_trace(argv[2]);
+  if (!trace.empty()) {
+    if (!path.empty() || want_csv)
+      args.usage("--trace takes no journal and no --csv");
+    return report_trace(trace);
   }
-  const std::string path = argv[1];
-  const bool want_csv = argc > 2 && std::strcmp(argv[2], "--csv") == 0;
+  if (path.empty()) args.usage("no journal given");
 
   core::Db db;
   try {

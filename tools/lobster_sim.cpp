@@ -8,6 +8,11 @@
 //                    [--availability SPEC] [--advisor on|off]
 //                    [--trace PATH] [--trace-format jsonl|chrome]
 //
+// Exit codes: 2 for a command-line error (an unknown flag, a second
+// scenario, a missing or malformed value, a bad --availability spec: the
+// usage line is printed), 1 when the scenario cannot be read or parsed or
+// the run fails.
+//
 // With --seeds N the scenario becomes a campaign: N runs seeded
 // base..base+N-1 execute across M worker threads (lobsim::Campaign), the
 // first run is reported in full, and a mean +/- stddev table summarises the
@@ -84,10 +89,13 @@
 //   file = run-trace.jsonl     # where the structured trace goes
 //   format = jsonl             # or chrome (Perfetto-loadable)
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "lobsim/campaign.hpp"
 #include "lobsim/spec_config.hpp"
+#include "util/args.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
@@ -96,93 +104,68 @@
 using namespace lobster;
 
 int main(int argc, char** argv) {
-  if (argc < 2 || argv[1][0] == '-') {
-    std::fprintf(stderr,
-                 "usage: %s <scenario.ini> [--seeds N] [--jobs M] "
-                 "[--availability SPEC] [--advisor on|off] [--trace PATH] "
-                 "[--trace-format jsonl|chrome]\n",
-                 argv[0]);
-    return 2;
-  }
-
-  util::Config cfg;
-  try {
-    cfg = util::Config::load(argv[1]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-
-  lobsim::RunSpec spec;
-  try {
-    spec = lobsim::spec_from_config(cfg);
-    // Flag overrides on top of the scenario (what-if knobs).  Values are
-    // consumed here so a value that itself starts with "--" (or a later
-    // scan such as parse_campaign_flags) is never re-read as a flag.
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg != "--availability" && arg != "--advisor") continue;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
-        return 2;
-      }
-      const std::string value = argv[++i];
-      if (arg == "--availability") {
-        spec.cluster.availability = lobsim::parse_availability_spec(value);
-      } else if (value == "on") {
-        spec.advisor.enabled = true;
-      } else if (value == "off") {
-        spec.advisor.enabled = false;
+  std::string scenario;
+  std::size_t n_seeds = 1;
+  std::size_t jobs = 1;
+  std::optional<lobsim::AvailabilityConfig> availability_flag;
+  std::optional<bool> advisor_flag;
+  std::optional<std::string> trace_flag;
+  std::optional<util::TraceFormat> format_flag;
+  util::Args args(argc, argv,
+                  "<scenario.ini> [--seeds N] [--jobs M] "
+                  "[--availability SPEC] [--advisor on|off] [--trace PATH] "
+                  "[--trace-format jsonl|chrome]");
+  while (args.next()) {
+    try {
+      if (args.is("--seeds")) {
+        n_seeds = static_cast<std::size_t>(args.integer(1));
+      } else if (args.is("--jobs")) {
+        jobs = static_cast<std::size_t>(args.integer(0));
+      } else if (args.is("--availability")) {
+        availability_flag = lobsim::parse_availability_spec(args.text());
+      } else if (args.is("--advisor")) {
+        const std::string value = args.text();
+        if (value != "on" && value != "off")
+          args.usage("--advisor takes on|off, got '" + value + "'");
+        advisor_flag = value == "on";
+      } else if (args.is("--trace")) {
+        trace_flag = args.text();
+      } else if (args.is("--trace-format")) {
+        format_flag = util::parse_trace_format(args.text());
+      } else if (scenario.empty() && args.positional()) {
+        scenario = args.token();
       } else {
-        std::fprintf(stderr, "error: --advisor takes on|off, got '%s'\n",
-                     value.c_str());
-        return 2;
+        args.usage();
       }
+    } catch (const std::exception& e) {
+      args.usage(e.what());
     }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   }
-  const auto& cluster = spec.cluster;
-  const auto& workload = spec.workload;
+  if (scenario.empty()) args.usage("no scenario file given");
 
-  // Trace destination: `[trace]` section first, then the flags on top
-  // (CLI wins).  The format may be given on its own; it then applies to the
-  // INI-configured file.
-  std::string trace_path = cfg.get_string("trace", "file", "");
+  // The scenario first, then the flags on top of it (what-if knobs; the
+  // CLI wins).  --trace-format alone applies to the INI-configured file.
+  lobsim::RunSpec spec;
+  std::string trace_path;
   util::TraceFormat trace_format = util::TraceFormat::Jsonl;
   try {
+    const util::Config cfg = util::Config::load(scenario);
+    spec = lobsim::spec_from_config(cfg);
+    trace_path = cfg.get_string("trace", "file", "");
     trace_format =
         util::parse_trace_format(cfg.get_string("trace", "format", "jsonl"));
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg != "--trace" && arg != "--trace-format") continue;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
-        return 2;
-      }
-      // Consume the value here so later scans never re-read it as a flag.
-      if (arg == "--trace")
-        trace_path = argv[++i];
-      else
-        trace_format = util::parse_trace_format(argv[++i]);
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+    return 1;
   }
-
-  const std::uint64_t base_seed =
-      static_cast<std::uint64_t>(cfg.get_int("workflow", "seed", 2015));
-  lobsim::CampaignOptions opts;
-  try {
-    opts = lobsim::parse_campaign_flags(
-        argc, argv, base_seed, 1,
-        {"--availability", "--advisor", "--trace", "--trace-format"});
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  if (availability_flag) spec.cluster.availability = *availability_flag;
+  if (advisor_flag) spec.advisor.enabled = *advisor_flag;
+  if (trace_flag) trace_path = *trace_flag;
+  if (format_flag) trace_format = *format_flag;
+  const auto& cluster = spec.cluster;
+  const auto& workload = spec.workload;
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < n_seeds; ++i) seeds.push_back(spec.seed + i);
 
   std::printf("simulating %zu cores (%s availability), %llu tasklets "
               "(%s each), %zu seed%s",
@@ -191,14 +174,14 @@ int main(int argc, char** argv) {
                                 : "none",
               static_cast<unsigned long long>(workload.num_tasklets),
               util::format_duration(workload.tasklet_cpu_mean).c_str(),
-              opts.seeds.size(), opts.seeds.size() == 1 ? "" : "s");
-  if (opts.seeds.size() > 1) std::printf(" x %zu jobs", opts.jobs);
+              seeds.size(), seeds.size() == 1 ? "" : "s");
+  if (seeds.size() > 1) std::printf(" x %zu jobs", jobs);
   std::puts("...");
 
-  lobsim::Campaign campaign(opts.jobs);
+  lobsim::Campaign campaign(jobs);
   campaign.keep_metrics(true);  // the report wants the first run's monitor
   if (!trace_path.empty()) {
-    if (opts.seeds.size() == 1) {
+    if (seeds.size() == 1) {
       // One run: honour the path exactly.
       spec.trace_path = trace_path;
       spec.trace_format = trace_format;
@@ -217,7 +200,7 @@ int main(int argc, char** argv) {
                   prefix.c_str(), ext.c_str(), util::to_string(trace_format));
     }
   }
-  campaign.add_seed_sweep(spec, opts.seeds);
+  campaign.add_seed_sweep(spec, seeds);
   campaign.run();
 
   const auto& first = campaign.results().front();
@@ -262,10 +245,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.str().c_str(), stdout);
 
-  if (opts.seeds.size() > 1) {
-    std::printf("\nacross %zu seeds (seed %llu..%llu):\n", opts.seeds.size(),
-                static_cast<unsigned long long>(opts.seeds.front()),
-                static_cast<unsigned long long>(opts.seeds.back()));
+  if (seeds.size() > 1) {
+    std::printf("\nacross %zu seeds (seed %llu..%llu):\n", seeds.size(),
+                static_cast<unsigned long long>(seeds.front()),
+                static_cast<unsigned long long>(seeds.back()));
     const auto aggregates = campaign.aggregate();
     const auto& agg = aggregates.front();
     util::Table sweep({"metric", "mean", "stddev", "min", "max"});
