@@ -10,7 +10,7 @@
 //  * BM_SpanJsonl / BM_SpanChrome: the cost of a live span against an
 //    in-memory sink (event formatting, no file I/O — files are written once
 //    at close).
-//  * BM_CounterAdd / BM_GaugeAdd: the counter-plane atomics every
+//  * BM_CounterAdd / BM_GaugeAdd: the counter-plane add every
 //    instrumented increment pays, traced or not.
 //  * BM_EngineUntraced / BM_EngineTraced: the end-to-end check on the
 //    micro_engine workload — the `overhead` counter on BM_EngineTraced is
@@ -112,7 +112,7 @@ void BM_CounterAdd(benchmark::State& state) {
   util::CounterRegistry registry;
   util::Counter* c = &registry.counter("bench.micro_trace.counter_add");
   for (auto _ : state) {
-    util::bump(c);
+    c->add();
     benchmark::DoNotOptimize(c);
   }
 }
@@ -122,7 +122,7 @@ void BM_GaugeAdd(benchmark::State& state) {
   util::CounterRegistry registry;
   util::Gauge* g = &registry.gauge("bench.micro_trace.gauge_set");
   for (auto _ : state) {
-    util::bump(g, 1.5);
+    g->add(1.5);
     benchmark::DoNotOptimize(g);
   }
 }

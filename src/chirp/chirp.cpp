@@ -71,20 +71,12 @@ void ChirpServer::check_scope(const std::string& scope,
     throw ChirpError("chirp: path " + path + " outside ticket scope " + scope);
 }
 
-void ChirpServer::bind_counters(util::CounterRegistry& registry) {
-  ctr_requests_ = &registry.counter("chirp.server.requests");
-  ctr_bytes_in_ = &registry.gauge("chirp.server.bytes_in");
-  ctr_bytes_out_ = &registry.gauge("chirp.server.bytes_out");
-}
-
 void ChirpServer::Session::put(const std::string& path, std::string content) {
   if (!has_right(rights_, Rights::Write))
     throw ChirpError("chirp: ticket lacks write right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  util::bump(server_->ctr_requests_);
   server_->bytes_in_ += static_cast<double>(content.size());
-  util::bump(server_->ctr_bytes_in_, static_cast<double>(content.size()));
   server_->files_[path] = std::move(content);
 }
 
@@ -94,9 +86,7 @@ void ChirpServer::Session::append(const std::string& path,
     throw ChirpError("chirp: ticket lacks write right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  util::bump(server_->ctr_requests_);
   server_->bytes_in_ += static_cast<double>(content.size());
-  util::bump(server_->ctr_bytes_in_, static_cast<double>(content.size()));
   server_->files_[path] += content;
 }
 
@@ -105,10 +95,8 @@ std::string ChirpServer::Session::get(const std::string& path) const {
     throw ChirpError("chirp: ticket lacks read right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  util::bump(server_->ctr_requests_);
   const std::string& content = server_->file(path);
   server_->bytes_out_ += static_cast<double>(content.size());
-  util::bump(server_->ctr_bytes_out_, static_cast<double>(content.size()));
   return content;
 }
 
@@ -117,7 +105,6 @@ FileInfo ChirpServer::Session::stat(const std::string& path) const {
     throw ChirpError("chirp: ticket lacks read right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  util::bump(server_->ctr_requests_);
   return FileInfo{path, server_->file(path).size()};
 }
 
@@ -127,7 +114,6 @@ std::vector<FileInfo> ChirpServer::Session::list(
     throw ChirpError("chirp: ticket lacks list right");
   server_->check_scope(scope_, prefix);
   std::lock_guard lock(server_->mutex_);
-  util::bump(server_->ctr_requests_);
   std::vector<FileInfo> out;
   const auto& files = server_->files_;
   for (auto it = files.lower_bound(prefix);
@@ -142,7 +128,6 @@ void ChirpServer::Session::remove(const std::string& path) {
     throw ChirpError("chirp: ticket lacks write right");
   server_->check_scope(scope_, path);
   std::lock_guard lock(server_->mutex_);
-  util::bump(server_->ctr_requests_);
   if (server_->files_.erase(path) == 0)
     throw ChirpError("chirp: no such file " + path);
 }
@@ -180,11 +165,7 @@ des::Task<double> ChirpSim::transfer(double bytes, double& accounting,
   co_await nic_.transfer(bytes);
   accounting += bytes;
   volume->add(bytes);
-  const double wall = sim_.now() - t0;
-  const double unloaded = params_.request_latency + bytes / params_.nic_rate;
-  slowdown_sum_ += wall / unloaded;
-  ++completed_;
-  co_return wall;
+  co_return sim_.now() - t0;
 }
 
 des::Task<double> ChirpSim::put(double bytes) {
@@ -195,10 +176,6 @@ des::Task<double> ChirpSim::put(double bytes) {
 des::Task<double> ChirpSim::get(double bytes) {
   ctr_gets_->add();
   return transfer(bytes, bytes_out_, ctr_bytes_out_);
-}
-
-double ChirpSim::mean_slowdown() const {
-  return completed_ ? slowdown_sum_ / static_cast<double>(completed_) : 1.0;
 }
 
 }  // namespace lobster::chirp

@@ -106,10 +106,6 @@ class ChirpServer {
   [[nodiscard]] double bytes_out() const;
   [[nodiscard]] std::size_t num_files() const;
 
-  /// Attach the unified counter plane (chirp.server.*).  Optional; the
-  /// server runs fine without one.
-  void bind_counters(util::CounterRegistry& registry);
-
  private:
   friend class Session;
   void check_scope(const std::string& scope, const std::string& path) const;
@@ -128,9 +124,6 @@ class ChirpServer {
   std::uint64_t next_ticket_ LOBSTER_GUARDED_BY(mutex_) = 1;
   double bytes_in_ LOBSTER_GUARDED_BY(mutex_) = 0.0;
   double bytes_out_ LOBSTER_GUARDED_BY(mutex_) = 0.0;
-  util::Counter* ctr_requests_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Gauge* ctr_bytes_in_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Gauge* ctr_bytes_out_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
 };
 
 /// DES model of the Chirp server in front of Hadoop.
@@ -154,9 +147,6 @@ class ChirpSim {
   des::Resource& connections() { return connections_; }
   [[nodiscard]] double bytes_in() const { return bytes_in_; }
   [[nodiscard]] double bytes_out() const { return bytes_out_; }
-  /// Mean over completed requests of (wall time / unloaded time) — a
-  /// direct overload indicator.
-  double mean_slowdown() const;
 
  private:
   des::Task<double> transfer(double bytes, double& accounting,
@@ -168,8 +158,6 @@ class ChirpSim {
   des::BandwidthLink nic_;
   double bytes_in_ = 0.0;
   double bytes_out_ = 0.0;
-  double slowdown_sum_ = 0.0;
-  std::uint64_t completed_ = 0;
   // Unified counter plane (chirp.*).
   util::Counter* ctr_puts_;
   util::Counter* ctr_gets_;

@@ -23,7 +23,8 @@ Scheduler::Scheduler(WorkflowConfig config, AnalysisPayload analysis,
       analysis_(std::move(analysis)),
       merge_(std::move(merge)),
       monitor_(60.0),
-      tasklets_per_task_(config_.tasklets_per_task) {
+      tasklets_per_task_(config_.tasklets_per_task),
+      max_tasklets_per_task_(config_.tasklets_per_task * 4) {
   if (!analysis_) throw std::invalid_argument("scheduler: null analysis payload");
   if (config_.merge_mode != MergeMode::Hadoop && !merge_)
     throw std::invalid_argument("scheduler: null merge payload");
@@ -218,10 +219,15 @@ void Scheduler::adapt_task_size() {
       static_cast<double>(evictions) / static_cast<double>(recent_evictions_.size());
   const std::uint32_t before = tasklets_per_task_;
   if (rate > kAdaptHighEvictionRate) {
+    // Hysteresis: never grow back to a size whose window crossed the high
+    // rate.  Without it a pool that evicts every task above 2 tasklets
+    // cycles 2 -> 3 -> 1 -> 2 and never settles.
+    max_tasklets_per_task_ =
+        std::max<std::uint32_t>(1, tasklets_per_task_ - 1);
     tasklets_per_task_ = std::max<std::uint32_t>(1, tasklets_per_task_ / 2);
   } else if (rate < kAdaptLowEvictionRate) {
-    tasklets_per_task_ = std::min<std::uint32_t>(config_.tasklets_per_task * 4,
-                                                 tasklets_per_task_ + 1);
+    tasklets_per_task_ =
+        std::min(max_tasklets_per_task_, tasklets_per_task_ + 1);
   }
   if (tasklets_per_task_ != before)
     LOBSTER_LOG_INFO("lobster",

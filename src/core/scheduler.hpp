@@ -97,6 +97,9 @@ class Scheduler {
   Db db_;
   Monitor monitor_;
   std::uint32_t tasklets_per_task_;
+  /// Adaptive sizing never grows past this: one below the smallest size
+  /// whose window crossed the high eviction rate.
+  std::uint32_t max_tasklets_per_task_;
   std::size_t in_flight_ = 0;
   std::map<std::uint64_t, MergeGroup> active_merges_;  // task id -> group
   std::vector<std::string> merged_files_;

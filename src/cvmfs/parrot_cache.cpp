@@ -77,32 +77,13 @@ double CacheGroup::stored_bytes() const {
   return sum_bytes_ordered(shared_store_);
 }
 
-void CacheGroup::bind_counters(util::CounterRegistry& registry) {
-  ctr_hits_ = &registry.counter("cvmfs.cache.hits");
-  ctr_fetches_ = &registry.counter("cvmfs.cache.fetches");
-  ctr_bytes_fetched_ = &registry.gauge("cvmfs.cache.bytes_fetched");
-}
-
 AccessResult CacheGroup::Instance::access(const FileObject& obj) {
-  AccessResult result;
   switch (group_->mode_) {
-    case CacheMode::Exclusive:
-      result = group_->access_exclusive(obj);
-      break;
-    case CacheMode::PerInstance:
-      result = group_->access_per_instance(obj, id_);
-      break;
-    case CacheMode::Alien:
-      result = group_->access_alien(obj);
-      break;
+    case CacheMode::Exclusive: return group_->access_exclusive(obj);
+    case CacheMode::PerInstance: return group_->access_per_instance(obj, id_);
+    case CacheMode::Alien: return group_->access_alien(obj);
   }
-  if (result.hit) {
-    util::bump(group_->ctr_hits_);
-  } else {
-    util::bump(group_->ctr_fetches_);
-    util::bump(group_->ctr_bytes_fetched_, result.bytes_fetched);
-  }
-  return result;
+  return {};
 }
 
 AccessResult CacheGroup::access_exclusive(const FileObject& obj) {

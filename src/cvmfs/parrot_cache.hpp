@@ -35,7 +35,6 @@
 
 #include "cvmfs/repository.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/trace.hpp"
 
 namespace lobster::cvmfs {
 
@@ -106,9 +105,6 @@ class CacheGroup {
   /// different threads concurrently.
   Instance make_instance();
 
-  /// Attach the unified counter plane (cvmfs.cache.*).  Optional.
-  void bind_counters(util::CounterRegistry& registry);
-
  private:
   struct Entry {
     Digest digest;
@@ -125,10 +121,6 @@ class CacheGroup {
   CacheMode mode_ LOBSTER_NOT_GUARDED(immutable after construction);
   Fetcher fetcher_ LOBSTER_NOT_GUARDED(immutable after construction);
   CacheStats stats_ LOBSTER_NOT_GUARDED(internally atomic);
-  util::Counter* ctr_hits_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_fetches_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Gauge* ctr_bytes_fetched_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
 
   // Exclusive + Alien: one shared store.  Exclusive guards it (and the
   // whole fetch) with a single shared_mutex; Alien uses the map mutex only

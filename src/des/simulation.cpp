@@ -102,7 +102,6 @@ bool Simulation::step() {
   if (!queue_.pop_next(item)) return false;
   assert(item.time >= now_ && "event queue went backwards");
   now_ = item.time;
-  ++executed_;
   events_counter_->add();
   if (item.handle) {
     item.handle.resume();

@@ -180,7 +180,9 @@ class Simulation {
   /// Run callbacks with timestamp <= t, then set now() = t.
   void run_until(double t);
 
-  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t events_executed() const {
+    return events_counter_->value();
+  }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
 
@@ -188,7 +190,7 @@ class Simulation {
   /// a sink is installed (Tracer::set_sink).
   util::Tracer& tracer() { return tracer_; }
   /// The unified counter plane: DES models and the engine register named
-  /// counters here; wq/chirp/hdfs substrate objects can bind to it too.
+  /// counters here.
   util::CounterRegistry& counters() { return counters_; }
 
  private:
@@ -212,7 +214,6 @@ class Simulation {
   void maybe_rethrow();
 
   double now_ = 0.0;
-  std::uint64_t executed_ = 0;
   std::uint64_t spawned_ = 0;
   EventQueue queue_;
   /// Live coroutine frames; spawn_seq makes teardown deterministic
@@ -224,7 +225,7 @@ class Simulation {
   std::exception_ptr error_;
   util::Tracer tracer_;
   util::CounterRegistry counters_;
-  /// Cached so step() pays one atomic add, not a map lookup.
+  /// Cached so step() pays one add, not a map lookup.
   util::Counter* events_counter_ = &counters_.counter("des.kernel.events_dispatched");
 };
 

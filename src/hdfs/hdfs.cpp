@@ -31,17 +31,8 @@ std::vector<std::size_t> Cluster::place_replicas_locked(
   return out;
 }
 
-void Cluster::bind_counters(util::CounterRegistry& registry) {
-  ctr_puts_ = &registry.counter("hdfs.cluster.puts");
-  ctr_gets_ = &registry.counter("hdfs.cluster.gets");
-  ctr_bytes_written_ = &registry.gauge("hdfs.cluster.bytes_written");
-  ctr_bytes_read_ = &registry.gauge("hdfs.cluster.bytes_read");
-}
-
 void Cluster::put(const std::string& path, const std::string& content) {
   if (path.empty()) throw HdfsError("hdfs: empty path");
-  util::bump(ctr_puts_);
-  util::bump(ctr_bytes_written_, static_cast<double>(content.size()));
   std::lock_guard lock(mutex_);
   if (namespace_.count(path)) remove_locked(path);
   std::vector<Block> blocks;
@@ -79,8 +70,6 @@ std::string Cluster::get(const std::string& path) const {
     if (!found)
       throw HdfsError("hdfs: block lost (all replicas dead) in " + path);
   }
-  util::bump(ctr_gets_);
-  util::bump(ctr_bytes_read_, static_cast<double>(out.size()));
   return out;
 }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "util/thread_annotations.hpp"
-#include "util/trace.hpp"
 
 namespace lobster::hdfs {
 
@@ -68,9 +67,6 @@ class Cluster {
   std::size_t under_replicated_blocks() const;
   [[nodiscard]] double total_bytes() const;
 
-  /// Attach the unified counter plane (hdfs.*).  Optional.
-  void bind_counters(util::CounterRegistry& registry);
-
  private:
   struct Block {
     std::uint64_t id;
@@ -93,11 +89,6 @@ class Cluster {
   std::map<std::string, std::vector<Block>> namespace_
       LOBSTER_GUARDED_BY(mutex_);
   std::vector<DataNode> datanodes_ LOBSTER_GUARDED_BY(mutex_);
-  util::Counter* ctr_puts_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_gets_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Gauge* ctr_bytes_written_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
-  util::Gauge* ctr_bytes_read_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
 };
 
 // ---- Map-Reduce-lite -------------------------------------------------------

@@ -129,7 +129,6 @@ std::optional<TaskUnit> StealingDispatch::next(const DispatchContext& ctx) {
   // bitwise deterministic.
   if (site_pending_.empty() || ctx.site >= site_pending_.size())
     return std::nullopt;
-  ++attempts_;
   std::size_t victim = site_pending_.size();
   std::uint64_t deepest = 0;
   for (std::size_t s = 0; s < site_pending_.size(); ++s) {

@@ -281,17 +281,9 @@ class StealingDispatch final : public PartitionedDispatch {
   std::optional<TaskUnit> next(const DispatchContext& ctx) override;
 
   [[nodiscard]] std::uint64_t min_backlog() const { return min_backlog_; }
-  /// Steal polls by an idle site, successful or not; the Engine mirrors
-  /// them into lobsim.steal.attempts.
-  [[nodiscard]] std::uint64_t steal_attempts() const { return attempts_; }
-  /// Count `n` failed steal polls the caller did not make: a parked idle
-  /// slot skips the polls it knows would find nothing, and each would have
-  /// been one attempt.
-  void add_skipped_attempts(std::uint64_t n) { attempts_ += n; }
 
  private:
   std::uint64_t min_backlog_;
-  std::uint64_t attempts_ = 0;
 };
 
 /// `lifetime_safety` and `lifetime_max_tasklets` only matter for

@@ -69,6 +69,10 @@ class SegmentCharge {
   double& slot_;
   double t0_;
 };
+
+// The steal and advisor counters are registered only when stealing and the
+// advisor are on; a run without them counts 0.
+std::uint64_t count_of(const util::Counter* c) { return c ? c->value() : 0; }
 }  // namespace
 
 /// What a momentarily idle slot co_awaits.  It lives in the slot's frame
@@ -226,7 +230,7 @@ const EngineMetrics& Engine::run(double time_cap) {
                       static_cast<unsigned long long>(
                           dispatch_->tasklets_pending()),
                       static_cast<unsigned long long>(
-                          metrics_->tasklets_processed),
+                          ctr_tasklets_processed_->value()),
                       dispatch_->merge_backlog(), done_ ? 1 : 0);
   }
   metrics_->makespan =
@@ -235,6 +239,23 @@ const EngineMetrics& Engine::run(double time_cap) {
   // still reports the finish times above, but they are lower bounds, not a
   // makespan — `completed` is the signal consumers must check.
   metrics_->completed = done_;
+  // Each count's only store is its counter; RunStats takes the final
+  // values.
+  metrics_->tasks_completed = ctr_tasks_completed_->value();
+  metrics_->tasks_failed = ctr_tasks_failed_->value();
+  metrics_->tasks_evicted = ctr_tasks_evicted_->value();
+  metrics_->merge_tasks_completed = ctr_merges_completed_->value();
+  metrics_->tasklets_processed = ctr_tasklets_processed_->value();
+  metrics_->tasklets_retried = ctr_tasklets_retried_->value();
+  metrics_->steal_attempts = count_of(ctr_steal_attempts_);
+  metrics_->steal_tasks = count_of(ctr_steal_tasks_);
+  metrics_->steal_bytes_penalty =
+      ctr_steal_bytes_penalty_ ? ctr_steal_bytes_penalty_->value() : 0.0;
+  metrics_->advisor_ticks = count_of(ctr_advisor_ticks_);
+  metrics_->advisor_shrinks = count_of(ctr_advisor_shrinks_);
+  metrics_->advisor_throttles = count_of(ctr_advisor_throttles_);
+  metrics_->advisor_drains = count_of(ctr_advisor_drains_);
+  metrics_->advisor_restores = count_of(ctr_advisor_restores_);
   metrics_->bytes_streamed = 0.0;
   metrics_->bytes_staged = 0.0;
   for (std::size_t s = 0; s < sites_->num_sites(); ++s) {
@@ -295,7 +316,6 @@ des::Process Engine::advisor_loop(double period) {
         advisor_->tick(sim_.now(), metrics_->monitor, gauges, *advisor_port_);
     // The share gates every pull, so a tick may open it.
     wake_parked();
-    ++metrics_->advisor_ticks;
     ctr_advisor_ticks_->add();
     ctr_advisor_share_->set(advisor_->dispatch_share());
     ctr_advisor_ewma_->set(advisor_->failure_ewma());
@@ -310,19 +330,15 @@ des::Process Engine::advisor_loop(double period) {
     for (const AdvisorDecision& d : decisions) {
       switch (d.kind) {
         case AdvisorDecision::Kind::Shrink:
-          ++metrics_->advisor_shrinks;
           ctr_advisor_shrinks_->add();
           break;
         case AdvisorDecision::Kind::Throttle:
-          ++metrics_->advisor_throttles;
           ctr_advisor_throttles_->add();
           break;
         case AdvisorDecision::Kind::Drain:
-          ++metrics_->advisor_drains;
           ctr_advisor_drains_->add();
           break;
         case AdvisorDecision::Kind::Restore:
-          ++metrics_->advisor_restores;
           ctr_advisor_restores_->add();
           break;
         case AdvisorDecision::Kind::Advise:
@@ -373,24 +389,21 @@ void Engine::resume_parked(const ParkedSlot& slot) {
   double poll = slot.last_poll + kIdleRetryDelay;
   std::uint64_t skipped = 0;
   for (; poll < now; poll += kIdleRetryDelay) ++skipped;
-  if (slot.counts_steals && skipped > 0) {
-    stealing_->add_skipped_attempts(skipped);
-    sync_steal_attempts();
-  }
+  if (slot.counts_steals) ctr_steal_attempts_->add(skipped);
   sim_.schedule_resume_at(poll, slot.handle);
 }
 
 des::Process Engine::core_slot(NodeHandle handle, std::size_t slot) {
   WorkerNode& node = sites_->node(handle);  // stable dense-array slot
   while (!done_ && sim_.now() < node.death && sim_.now() < end_time_cap_) {
-    const std::uint64_t attempts = metrics_->steal_attempts;
+    const std::uint64_t attempts = count_of(ctr_steal_attempts_);
     auto task = next_task(node);
     if (!task) {
       if (workflow_complete()) co_return;
       // Momentarily idle (e.g. waiting for merge work): park until a pull
       // could turn out differently, then pull at the next poll instant.
       co_await ParkedSlot{*this, node, sim_.now(),
-                          metrics_->steal_attempts > attempts};
+                          count_of(ctr_steal_attempts_) > attempts};
       continue;
     }
     ++running_tasks_;
@@ -592,9 +605,7 @@ des::Task<bool> Engine::run_task(WorkerNode& node, std::size_t slot,
       if (wan_bytes > 0.0)
         co_await sites_->federation(node.site).stage(wan_bytes);
     }
-    const double charged = wan_bytes + kHotSetupBytes;
-    metrics_->steal_bytes_penalty += charged;
-    util::bump(ctr_steal_bytes_penalty_, charged);
+    ctr_steal_bytes_penalty_->add(wan_bytes + kHotSetupBytes);
     if (evicted_now()) {
       mark_evicted();
       co_return false;
@@ -704,12 +715,12 @@ std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
   ctx.tasklet_cpu_mean = workload_.tasklet_cpu_mean;
   auto task = dispatch_->next(ctx);
   if (stealing_) {
-    // Mirror the policy's attempt count (it ticks even on failed polls) and
-    // announce successful steals on the trace plane.
-    sync_steal_attempts();
+    // The policy polls the other sites whenever this site's own pool and
+    // the merge queue are empty: such a pull is one steal attempt, whether
+    // it finds a victim or not.  Successful steals go on the trace plane.
+    if (!task || task->stolen) ctr_steal_attempts_->add();
     if (task && task->stolen) {
-      ++metrics_->steal_tasks;
-      util::bump(ctr_steal_tasks_);
+      ctr_steal_tasks_->add();
       sim_.tracer().instant(
           "lobsim", "steal", 0,
           {{"victim", static_cast<double>(task->victim_site)},
@@ -721,14 +732,6 @@ std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
   return task;
 }
 
-void Engine::sync_steal_attempts() {
-  const std::uint64_t attempts = stealing_->steal_attempts();
-  if (attempts > metrics_->steal_attempts) {
-    util::bump(ctr_steal_attempts_, attempts - metrics_->steal_attempts);
-    metrics_->steal_attempts = attempts;
-  }
-}
-
 void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
                          bool success, bool evicted, std::size_t site) {
   const double now = sim_.now();
@@ -738,13 +741,11 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     record.status = core::TaskStatus::Done;
   } else if (evicted) {
     record.status = core::TaskStatus::Evicted;
-    ++metrics_->tasks_evicted;
     ctr_tasks_evicted_->add();
     sim_.tracer().instant("lobsim", "task_evicted", 0,
                           {{"tasklets", static_cast<double>(task.n_tasklets)}});
   } else {
     record.status = core::TaskStatus::Failed;
-    ++metrics_->tasks_failed;
     ctr_tasks_failed_->add();
     metrics_->failure_events.emplace_back(now, record.exit_code);
     sim_.tracer().instant("lobsim", "task_failed", 0,
@@ -755,7 +756,6 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
   if (task.is_merge) {
     --running_merges_;
     if (success) {
-      ++metrics_->merge_tasks_completed;
       ctr_merges_completed_->add();
       metrics_->merge_done.add(now);
       metrics_->last_merge_finish = now;
@@ -765,11 +765,9 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     }
   } else {
     if (success) {
-      ++metrics_->tasks_completed;
       ctr_tasks_completed_->add();
       metrics_->analysis_done.add(now);
       metrics_->last_analysis_finish = now;
-      metrics_->tasklets_processed += task.n_tasklets;
       ctr_tasklets_processed_->add(task.n_tasklets);
       per_site_tasklets_[site] += task.n_tasklets;
       planner_->add_output(workload_.tasklet_output_bytes * task.n_tasklets);
@@ -778,12 +776,11 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
       // stolen chunk goes back to its victim's partition, not the thief's.
       dispatch_->return_tasklets(task.stolen ? task.victim_site : site,
                                  task.n_tasklets);
-      metrics_->tasklets_retried += task.n_tasklets;
       ctr_tasklets_retried_->add(task.n_tasklets);
     }
   }
 
-  auto plan = planner_->plan(metrics_->tasklets_processed,
+  auto plan = planner_->plan(ctr_tasklets_processed_->value(),
                              workload_.num_tasklets,
                              analysis_complete());
   for (double group_bytes : plan.groups) {
@@ -827,7 +824,6 @@ des::Process Engine::hadoop_merge() {
       co_await self->sim_.delay(kHadoopReduceSetup + bytes / kHadoopLocalRate);
     }
     const double now = self->sim_.now();
-    ++self->metrics_->merge_tasks_completed;
     self->ctr_merges_completed_->add();
     self->metrics_->merge_done.add(now);
     self->metrics_->last_merge_finish = now;
@@ -844,7 +840,7 @@ des::Process Engine::hadoop_merge() {
 }
 
 bool Engine::analysis_complete() const {
-  return metrics_->tasklets_processed >= workload_.num_tasklets &&
+  return ctr_tasklets_processed_->value() >= workload_.num_tasklets &&
          dispatch_->tasklets_pending() == 0;
 }
 

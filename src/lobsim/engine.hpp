@@ -91,7 +91,9 @@ struct WorkloadParams {
 
 /// Scalar outcome of one run.  Campaign results carry it and EngineMetrics
 /// extends it with the monitor and the timelines, so each scalar is
-/// declared once.
+/// declared once.  The counts are kept on the counter plane during the run
+/// (lobsim.engine.*, lobsim.steal.*, lobsim.advisor.*) and copied here when
+/// Engine::run returns.
 struct RunStats {
   double makespan = 0.0;
   double last_analysis_finish = 0.0;
@@ -227,9 +229,6 @@ class Engine {
                    bool success, bool evicted, std::size_t site);
   bool analysis_complete() const;
   bool workflow_complete() const;
-  /// Mirror StealingDispatch's attempt count into RunStats and the counter
-  /// plane.
-  void sync_steal_attempts();
 
   // Idle-slot parking.  A slot whose pull finds nothing suspends with no
   // event scheduled.  wake_parked() hands every parked slot back to the

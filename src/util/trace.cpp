@@ -229,21 +229,18 @@ std::unique_ptr<TraceSink> make_trace_sink(TraceFormat format,
 // ---------------------------------------------------------------------------
 
 Counter& CounterRegistry::counter(const std::string& name) {
-  std::lock_guard lock(mutex_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& CounterRegistry::gauge(const std::string& name) {
-  std::lock_guard lock(mutex_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 std::vector<CounterRegistry::Sample> CounterRegistry::snapshot() const {
-  std::lock_guard lock(mutex_);
   std::vector<Sample> out;
   out.reserve(counters_.size() + gauges_.size());
   // Both maps are name-ordered; a two-way merge keeps the combined view

@@ -17,31 +17,30 @@
 //    pins for scalar metrics.
 //  * Near-free when disabled.  With no sink installed, Tracer::span()
 //    returns an inert Span (null tracer pointer, no clock read, no
-//    allocation) and counters are plain relaxed atomics; the hot paths of
-//    the DES kernel and the engine pay one predictable branch.
-//  * One counter plane.  CounterRegistry serves both worlds: the
-//    single-threaded DES models and the real multi-threaded wq/chirp/hdfs
-//    substrate share the same named-counter type (atomics make it safe),
-//    and snapshot() returns a name-ordered view for deterministic export.
+//    allocation) and a counter add is a plain add; the hot paths of the DES
+//    kernel and the engine pay one predictable branch.
+//  * One counter plane per simulation.  Each des::Simulation owns one
+//    CounterRegistry, and only the thread running that simulation touches
+//    it (Campaign gives every run its own Engine), so counters and gauges
+//    are plain values with no atomics or locks.  snapshot() returns a
+//    name-ordered view for deterministic export.  The real multi-threaded
+//    wq/chirp/hdfs substrate reports through its classes' own accessors,
+//    not through this plane.
 //
 // Counter naming convention: `<layer>.<subsystem>.<metric>` with
 // lower_snake_case metrics, e.g. "cvmfs.squid.requests",
-// "wq.master.dispatched", "lobsim.engine.tasklets_retried".  Monotonic event
+// "chirp.sim.bytes_out", "lobsim.engine.tasklets_retried".  Monotonic event
 // counts are Counters (integers); byte volumes and levels are Gauges
 // (doubles).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace lobster::util {
 
@@ -254,46 +253,32 @@ inline void Span::end() {
 // Counter plane
 // ---------------------------------------------------------------------------
 
-/// A named monotonic event count.  Relaxed atomics: safe from the real
-/// multi-threaded substrate (wq workers, chirp/hdfs servers) and free of
-/// ordering side effects in the single-threaded DES models.
+/// A named monotonic event count.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) noexcept {
-    v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) noexcept { v_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
-/// A named double-valued level (byte volumes, occupancy).  add() is a CAS
-/// loop so pre-C++20-atomic-float toolchains are not required.
+/// A named double-valued level (byte volumes, occupancy).
 class Gauge {
  public:
-  void add(double d) noexcept {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-    }
-  }
-  void set(double d) noexcept { v_.store(d, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
+  void add(double d) noexcept { v_ += d; }
+  void set(double d) noexcept { v_ = d; }
+  [[nodiscard]] double value() const { return v_; }
 
  private:
-  std::atomic<double> v_{0.0};
+  double v_ = 0.0;
 };
 
-/// Registry of named counters and gauges.  Registration (the map insert)
-/// takes a mutex; the returned references are stable for the registry's
-/// lifetime, so hot paths cache the pointer once and then touch only the
-/// atomic.  Instances sharing a name share the counter — that is the
-/// "unified plane": every squid of a site, every worker slot, and the
-/// engine all accumulate into one namespace.
+/// Registry of named counters and gauges.  The returned references are
+/// stable for the registry's lifetime, so hot paths cache the pointer once
+/// and then touch only the value.  Instances sharing a name share the
+/// counter — that is the "unified plane": every squid of a site, every
+/// worker slot, and the engine all accumulate into one namespace.
 class CounterRegistry {
  public:
   CounterRegistry() = default;
@@ -324,11 +309,8 @@ class CounterRegistry {
       const std::vector<Sample>& before, const std::vector<Sample>& after);
 
  private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      LOBSTER_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      LOBSTER_GUARDED_BY(mutex_);
+  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
 };
 
 /// Exponentially-weighted moving-average *rate* of a cumulative total,
@@ -359,16 +341,6 @@ class EwmaRate {
   double last_total_ = 0.0;
   bool primed_ = false;
 };
-
-/// Null-tolerant increments for call sites whose registry wiring is
-/// optional (the wq substrate binds counters only when a plane is
-/// attached).
-inline void bump(Counter* c, std::uint64_t n = 1) {
-  if (c) c->add(n);
-}
-inline void bump(Gauge* g, double d) {
-  if (g) g->add(d);
-}
 
 // ---------------------------------------------------------------------------
 // Reading traces back (lobster_report, validation, tests)

@@ -13,12 +13,6 @@ Foreman::Foreman(std::string name, TaskSource& upstream, std::size_t window)
 
 Foreman::~Foreman() { shutdown(); }
 
-void Foreman::bind_counters(util::CounterRegistry& registry) {
-  ctr_relayed_ = &registry.counter("wq.foreman.relayed");
-  ctr_dispatched_ = &registry.counter("wq.foreman.dispatched");
-  ctr_evicted_ = &registry.counter("wq.foreman.evicted");
-}
-
 void Foreman::shutdown() {
   stopping_.store(true, std::memory_order_release);
   // Close before joining: the pump may be blocked in a bounded send, which
@@ -31,7 +25,6 @@ void Foreman::shutdown() {
   // application resubmits them.
   while (auto spec = local_.try_receive()) {
     evicted_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_evicted_);
     TaskResult r;
     r.id = spec->id;
     r.tag = spec->tag;
@@ -71,16 +64,12 @@ void Foreman::pump() {
       return;
     }
     relayed_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_relayed_);
   }
 }
 
 std::optional<TaskSpec> Foreman::next_task(std::chrono::milliseconds wait) {
   auto spec = local_.receive_for(wait);
-  if (spec) {
-    dispatched_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_dispatched_);
-  }
+  if (spec) dispatched_.fetch_add(1, std::memory_order_acq_rel);
   return spec;
 }
 

@@ -20,8 +20,6 @@
 #include <thread>
 
 #include "util/channel.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/trace.hpp"
 #include "wq/task.hpp"
 
 namespace lobster::wq {
@@ -61,10 +59,6 @@ class Foreman : public TaskSource {
   [[nodiscard]] std::uint64_t tasks_evicted() const { return evicted_.load(); }
   [[nodiscard]] std::uint64_t results_relayed() const { return results_.load(); }
 
-  /// Attach the unified counter plane (wq.foreman.*, aggregated across all
-  /// foremen bound to the same registry).  Optional.
-  void bind_counters(util::CounterRegistry& registry);
-
  private:
   void pump();
 
@@ -77,10 +71,6 @@ class Foreman : public TaskSource {
   std::atomic<std::uint64_t> evicted_{0};
   std::atomic<std::uint64_t> results_{0};
   std::thread pump_thread_;
-  util::Counter* ctr_relayed_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_dispatched_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
-  util::Counter* ctr_evicted_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
 };
 
 }  // namespace lobster::wq

@@ -10,19 +10,9 @@ double elapsed_seconds(std::chrono::steady_clock::time_point since) {
 }
 }  // namespace
 
-void Master::bind_counters(util::CounterRegistry& registry) {
-  ctr_submitted_ = &registry.counter("wq.master.submitted");
-  ctr_dispatched_ = &registry.counter("wq.master.dispatched");
-  ctr_completed_ = &registry.counter("wq.master.completed");
-  ctr_failed_ = &registry.counter("wq.master.failed");
-  ctr_evicted_ = &registry.counter("wq.master.evicted");
-  ctr_rejected_resubmits_ = &registry.counter("wq.master.rejected_resubmits");
-}
-
 bool Master::submit(TaskSpec spec) {
   if (closed_.load(std::memory_order_acquire)) {
     rejected_resubmits_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_rejected_resubmits_);
     return false;
   }
   submitted_.fetch_add(1, std::memory_order_acq_rel);
@@ -35,11 +25,9 @@ bool Master::submit(TaskSpec spec) {
     // next_result() hangs.
     submitted_.fetch_sub(1, std::memory_order_acq_rel);
     rejected_resubmits_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_rejected_resubmits_);
     maybe_close_results();
     return false;
   }
-  util::bump(ctr_submitted_);
   return true;
 }
 
@@ -72,22 +60,17 @@ std::optional<TaskSpec> Master::next_task(std::chrono::milliseconds wait) {
   auto stamped = pending_.receive_for(wait);
   if (!stamped) return std::nullopt;
   dispatched_.fetch_add(1, std::memory_order_acq_rel);
-  util::bump(ctr_dispatched_);
   stamped->spec.dispatch_wait = elapsed_seconds(stamped->enqueued);
   return std::move(stamped->spec);
 }
 
 void Master::deliver(TaskResult result) {
-  if (result.evicted) {
+  if (result.evicted)
     evicted_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_evicted_);
-  } else if (result.exit_code == 0) {
+  else if (result.exit_code == 0)
     completed_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_completed_);
-  } else {
+  else
     failed_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_failed_);
-  }
   results_.send(std::move(result));
   delivered_.fetch_add(1, std::memory_order_acq_rel);
   maybe_close_results();

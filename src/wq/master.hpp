@@ -16,7 +16,6 @@
 
 #include "util/channel.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/trace.hpp"
 #include "wq/task.hpp"
 
 namespace lobster::wq {
@@ -32,8 +31,7 @@ class Master : public TaskSource {
   /// Contract for evicted work: a TaskResult marked evicted invites
   /// resubmission, but a resubmit that races close_submission() is
   /// REJECTED, not silently dropped — submit() returns false and the
-  /// rejection is counted in rejected_resubmits() (and the
-  /// wq.master.rejected_resubmits counter).  An application that closes
+  /// rejection is counted in rejected_resubmits().  An application that closes
   /// submission while evicted work is still in flight must either check
   /// submit()'s return value and handle the loss, or keep submission open
   /// until every eviction has been redispatched.
@@ -64,10 +62,6 @@ class Master : public TaskSource {
   }
   [[nodiscard]] std::size_t queue_depth() const { return pending_.size(); }
 
-  /// Attach the unified counter plane (wq.master.*).  Optional; call before
-  /// workers start pulling.
-  void bind_counters(util::CounterRegistry& registry);
-
  private:
   struct Stamped {
     TaskSpec spec;
@@ -96,14 +90,6 @@ class Master : public TaskSource {
   // Serializes the drained-check/close decision; results_.close() runs
   // under it, so it orders before the Channel lock (see DESIGN.md).
   std::mutex close_mutex_ LOBSTER_ACQUIRED_BEFORE(util::Channel::mutex_);
-  util::Counter* ctr_submitted_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_dispatched_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
-  util::Counter* ctr_completed_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_failed_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_evicted_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_rejected_resubmits_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
 };
 
 }  // namespace lobster::wq

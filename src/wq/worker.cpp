@@ -20,17 +20,9 @@ Worker::~Worker() {
   join();
 }
 
-void Worker::bind_counters(util::CounterRegistry& registry) {
-  ctr_tasks_run_ = &registry.counter("wq.worker.tasks_run");
-  ctr_evictions_ = &registry.counter("wq.worker.evictions");
-  ctr_stage_in_bytes_ = &registry.gauge("wq.worker.stage_in_bytes");
-  ctr_cache_saved_bytes_ = &registry.gauge("wq.worker.cache_saved_bytes");
-}
-
 void Worker::evict() {
   bool expected = false;
   if (!evicting_.compare_exchange_strong(expected, true)) return;
-  util::bump(ctr_evictions_);
   std::lock_guard lock(tokens_mutex_);
   for (auto& token : slot_tokens_) token.cancel();
 }
@@ -91,12 +83,8 @@ void Worker::slot_loop(std::size_t slot) {
         InputFile staged = input;
         staged.content = file_cache_.stage_through(input);
         sandbox.stage(staged);
-        const double transferred = file_cache_.bytes_transferred() - before;
-        const double saved = file_cache_.bytes_saved() - saved_before;
-        result.stage_in_bytes += transferred;
-        result.cache_saved_bytes += saved;
-        util::bump(ctr_stage_in_bytes_, transferred);
-        util::bump(ctr_cache_saved_bytes_, saved);
+        result.stage_in_bytes += file_cache_.bytes_transferred() - before;
+        result.cache_saved_bytes += file_cache_.bytes_saved() - saved_before;
       } catch (...) {
         staging_ok = false;
         break;
@@ -105,7 +93,6 @@ void Worker::slot_loop(std::size_t slot) {
     if (!staging_ok) {
       result.exit_code = static_cast<int>(TaskExit::StageInFailure);
       tasks_run_.fetch_add(1, std::memory_order_acq_rel);
-      util::bump(ctr_tasks_run_);
       source_.deliver(std::move(result));
       continue;
     }
@@ -131,7 +118,6 @@ void Worker::slot_loop(std::size_t slot) {
       result.exit_code = code;
     }
     tasks_run_.fetch_add(1, std::memory_order_acq_rel);
-    util::bump(ctr_tasks_run_);
     source_.deliver(std::move(result));
   }
 }

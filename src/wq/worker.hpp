@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "util/thread_annotations.hpp"
-#include "util/trace.hpp"
 #include "wq/task.hpp"
 
 namespace lobster::wq {
@@ -48,10 +47,6 @@ class Worker {
   /// The worker-wide input-file cache shared by all slots.
   const WorkerFileCache& file_cache() const { return file_cache_; }
 
-  /// Attach the unified counter plane (wq.worker.*).  Optional; call before
-  /// the first task executes for complete counts.
-  void bind_counters(util::CounterRegistry& registry);
-
  private:
   void slot_loop(std::size_t slot);
 
@@ -68,12 +63,6 @@ class Worker {
   WorkerFileCache file_cache_ LOBSTER_NOT_GUARDED(internally synchronized);
   std::vector<std::thread> threads_
       LOBSTER_NOT_GUARDED(written only in ctor and join/shutdown);
-  util::Counter* ctr_tasks_run_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Counter* ctr_evictions_ LOBSTER_NOT_GUARDED(target is atomic) = nullptr;
-  util::Gauge* ctr_stage_in_bytes_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
-  util::Gauge* ctr_cache_saved_bytes_ LOBSTER_NOT_GUARDED(target is atomic) =
-      nullptr;
 };
 
 }  // namespace lobster::wq

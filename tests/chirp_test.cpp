@@ -7,26 +7,22 @@
 #include <vector>
 
 #include "chirp/chirp.hpp"
-#include "util/trace.hpp"
 
 namespace ch = lobster::chirp;
 namespace des = lobster::des;
 
 // ---------------------------------------------------------------- server ----
 
-TEST(ChirpServer, CounterPlaneCountsRequestsAndBytes) {
-  lobster::util::CounterRegistry registry;
+TEST(ChirpServer, CountsBytesInAndOut) {
   ch::ChirpServer server;
-  server.bind_counters(registry);
   const auto ticket = server.issue_ticket(
       "/", ch::Rights::Read | ch::Rights::Write | ch::Rights::List);
   auto s = server.connect(ticket);
   s.put("/out/a", "12345");
   s.append("/out/a", "678");
   EXPECT_EQ(s.get("/out/a"), "12345678");
-  EXPECT_EQ(registry.counter("chirp.server.requests").value(), 3u);
-  EXPECT_EQ(registry.gauge("chirp.server.bytes_in").value(), 8.0);
-  EXPECT_EQ(registry.gauge("chirp.server.bytes_out").value(), 8.0);
+  EXPECT_EQ(server.bytes_in(), 8.0);
+  EXPECT_EQ(server.bytes_out(), 8.0);
 }
 
 TEST(ChirpServer, PutGetStatList) {
@@ -167,7 +163,6 @@ TEST(ChirpSim, UnloadedTransferTime) {
   ASSERT_EQ(times.size(), 1u);
   EXPECT_NEAR(times[0], 0.2 + 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(chirp.bytes_in(), 1e8);
-  EXPECT_NEAR(chirp.mean_slowdown(), 1.0, 1e-9);
 }
 
 TEST(ChirpSim, WaveOfTransfersQueuesBeyondConnectionLimit) {
@@ -186,5 +181,4 @@ TEST(ChirpSim, WaveOfTransfersQueuesBeyondConnectionLimit) {
   // 4 admitted at a time, each batch takes 4 s (4 flows share 1e8 B/s).
   EXPECT_NEAR(times[0], 4.0, 1e-6);
   EXPECT_NEAR(times[15], 16.0, 1e-6);
-  EXPECT_GT(chirp.mean_slowdown(), 2.0);
 }

@@ -6,24 +6,11 @@
 
 #include "hdfs/hdfs.hpp"
 #include "util/rng.hpp"
-#include "util/trace.hpp"
 
 namespace hd = lobster::hdfs;
 namespace lu = lobster::util;
 
 // ---------------------------------------------------------------- cluster ----
-
-TEST(Hdfs, CounterPlaneCountsIo) {
-  lu::CounterRegistry registry;
-  hd::Cluster c(4, 2, 8);
-  c.bind_counters(registry);
-  c.put("/data/f1", "0123456789");
-  EXPECT_EQ(c.get("/data/f1").size(), 10u);
-  EXPECT_EQ(registry.counter("hdfs.cluster.puts").value(), 1u);
-  EXPECT_EQ(registry.counter("hdfs.cluster.gets").value(), 1u);
-  EXPECT_EQ(registry.gauge("hdfs.cluster.bytes_written").value(), 10.0);
-  EXPECT_EQ(registry.gauge("hdfs.cluster.bytes_read").value(), 10.0);
-}
 
 TEST(Hdfs, PutGetRoundTrip) {
   hd::Cluster c(4, 2, 8);

@@ -248,7 +248,6 @@ TEST(DispatchPolicyTest, StealingTakesFromDeepestBacklog) {
   // drain-phase rule gives a single tasklet here: 20 <= 200.
   EXPECT_EQ(t->n_tasklets, 1u);
   EXPECT_EQ(p->site_pending(2), 19u);
-  EXPECT_GE(p->steal_attempts(), 1u);
   // A stolen retry returns to the VICTIM's pool, not the thief's.
   p->return_tasklets(t->victim_site, t->n_tasklets);
   EXPECT_EQ(p->site_pending(2), 20u);
@@ -281,9 +280,7 @@ TEST(DispatchPolicyTest, StealingHonoursMinBacklogThreshold) {
   EXPECT_EQ(p->min_backlog(), 12u);
   p->add_tasklets(11);
   p->partition({0, 100});  // 0 / 11 — just below the threshold
-  const auto before = p->steal_attempts();
   EXPECT_FALSE(p->next(ctx(8, true, /*site=*/0)).has_value());
-  EXPECT_GT(p->steal_attempts(), before);  // attempted, found nothing deep
   EXPECT_EQ(p->site_pending(1), 11u);  // untouched
   // Before partition() the policy acts as a single pool (unit-test mode),
   // so next() still works without a SiteManager.

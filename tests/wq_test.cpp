@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/trace.hpp"
 #include "wq/foreman.hpp"
 #include "wq/master.hpp"
 #include "wq/worker.hpp"
@@ -71,31 +70,22 @@ TEST(Master, SingleWorkerRunsAllTasks) {
   EXPECT_EQ(master.failed(), 0u);
 }
 
-TEST(Master, CounterPlaneMirrorsLifecycle) {
-  lobster::util::CounterRegistry registry;
+TEST(Master, AccessorsCountTheLifecycle) {
   wq::Master master;
-  master.bind_counters(registry);
-  // Bind the worker's counters before any task exists to run: its slot
-  // threads start pulling in the constructor, and counts bump only through
-  // pointers that are bound.
   wq::Worker worker("w0", master, 4);
-  worker.bind_counters(registry);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 20; ++i) {
-    master.submit(make_task(static_cast<std::uint64_t>(i),
-                            [&executed](wq::TaskContext&) {
-                              executed.fetch_add(1);
-                              return 0;
-                            }));
-  }
+  for (int i = 0; i < 20; ++i)
+    master.submit(
+        make_task(static_cast<std::uint64_t>(i), [](wq::TaskContext&) {
+          return 0;
+        }));
   master.close_submission();
   collect(master);
   worker.join();
-  EXPECT_EQ(registry.counter("wq.master.submitted").value(), 20u);
-  EXPECT_EQ(registry.counter("wq.master.dispatched").value(), 20u);
-  EXPECT_EQ(registry.counter("wq.master.completed").value(), 20u);
-  EXPECT_EQ(registry.counter("wq.master.failed").value(), 0u);
-  EXPECT_EQ(registry.counter("wq.worker.tasks_run").value(), 20u);
+  EXPECT_EQ(master.submitted(), 20u);
+  EXPECT_EQ(master.dispatched(), 20u);
+  EXPECT_EQ(master.completed(), 20u);
+  EXPECT_EQ(master.failed(), 0u);
+  EXPECT_EQ(worker.tasks_run(), 20u);
 }
 
 TEST(Master, FailuresAndExceptionsCounted) {
@@ -426,11 +416,8 @@ TEST(Foreman, DepthThreeChainRelaysAll) {
 TEST(Master, RejectedResubmitIsCountedNotSilent) {
   // A dying foreman's evicted results invite resubmission, but a resubmit
   // after close_submission() must fail loudly: counted in
-  // rejected_resubmits() and the wq.master.rejected_resubmits counter, not
-  // silently dropped.
-  lobster::util::CounterRegistry registry;
+  // rejected_resubmits(), not silently dropped.
   wq::Master master;
-  master.bind_counters(registry);
   for (int i = 0; i < 2; ++i)
     master.submit(
         make_task(static_cast<std::uint64_t>(i), [](wq::TaskContext&) {
@@ -448,7 +435,6 @@ TEST(Master, RejectedResubmitIsCountedNotSilent) {
   }
   EXPECT_EQ(rejected, 2u);
   EXPECT_EQ(master.rejected_resubmits(), 2u);
-  EXPECT_EQ(registry.counter("wq.master.rejected_resubmits").value(), 2u);
   EXPECT_EQ(master.evicted(), 2u);
   EXPECT_EQ(master.completed(), 0u);
 }

@@ -648,7 +648,7 @@ class CounterPlaneRule final : public Rule {
     return s.present && s.valid;
   }
 
-  /// `registry.counter("wq.master.submitted")` registrations and
+  /// `registry.counter("cvmfs.squid.requests")` registrations and
   /// `tracer().counter("lobsim.engine.running_tasks", n)` samples; the code
   /// line gates on the blanked-string shape, the literal text comes from
   /// the raw line at the same columns.
